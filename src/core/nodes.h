@@ -3,6 +3,7 @@
 // CPU) whose messages are dispatched into the layered cores.
 #pragma once
 
+#include <functional>
 #include <memory>
 
 #include "core/client.h"
@@ -13,22 +14,36 @@
 
 namespace dynastar::core {
 
-/// Hosts one PartitionServerCore plus the replica's *durable* checkpoint
-/// (modeled like paxos::AcceptorStorage: the one thing that survives a
-/// crash). The core itself is volatile — on_crash destroys it, and recovery
-/// rebuilds a fresh core from the checkpoint plus log replay.
-class ServerNode final : public sim::Process {
+/// Carrier for a core's snapshot inside the replica layer: the stable
+/// snapshot chunked transfers serve, and an InstallSnapshotResp payload. The
+/// snapshot is immutable; receivers copy on install.
+template <class Snapshot>
+struct SnapshotMsg final : sim::Message {
+  explicit SnapshotMsg(std::shared_ptr<const Snapshot> s)
+      : state(std::move(s)) {}
+  const char* type_name() const override { return "core.Snapshot"; }
+  std::size_t size_bytes() const override { return state->size_bytes(); }
+  std::shared_ptr<const Snapshot> state;
+};
+
+/// Hosts one replica core (PartitionServerCore or OracleCore) plus the
+/// replica's *durable* checkpoint (modeled like paxos::AcceptorStorage: the
+/// one thing that survives a crash). The core itself is volatile — on_crash
+/// destroys it, and recovery rebuilds a fresh core from the checkpoint plus
+/// log replay. The node wires the core's snapshots into its Paxos replica:
+/// each checkpoint boundary's snapshot becomes both the durable checkpoint
+/// and the stable snapshot chunked transfers serve.
+template <class Core>
+class ReplicaNode final : public sim::Process {
  public:
-  ServerNode(ProcessId id, sim::World& world, const paxos::Topology& topology,
-             PartitionId partition, const SystemConfig& config,
-             AppFactory app_factory, bool record_metrics)
-      : sim::Process(id, world),
-        topology_(topology),
-        partition_(partition),
-        config_(config),
-        app_factory_(std::move(app_factory)),
-        record_metrics_(record_metrics) {
-    set_message_service_time(config.server_service_time);
+  using SnapshotPtr = typename Core::SnapshotPtr;
+  /// Builds the core of one incarnation.
+  using CoreFactory = std::function<std::unique_ptr<Core>(ReplicaNode&)>;
+
+  ReplicaNode(ProcessId id, sim::World& world, SimTime service_time,
+              CoreFactory make_core)
+      : sim::Process(id, world), make_core_(std::move(make_core)) {
+    set_message_service_time(service_time);
     rebuild();
   }
 
@@ -51,82 +66,37 @@ class ServerNode final : public sim::Process {
     core_->handle(from, msg);
   }
 
-  PartitionServerCore& core() { return *core_; }
-  [[nodiscard]] PartitionServerCore::SnapshotPtr checkpoint() const {
-    return checkpoint_;
-  }
+  Core& core() { return *core_; }
+  [[nodiscard]] SnapshotPtr checkpoint() const { return checkpoint_; }
 
  private:
+  using Carrier = SnapshotMsg<typename Core::Snapshot>;
+
   void rebuild() {
-    // Fresh app instance from the factory: AppStateMachine holds no state
-    // outside the ObjectStore (by contract), so a new one is equivalent.
-    core_ = std::make_unique<PartitionServerCore>(
-        *this, topology_, partition_, config_, app_factory_(),
-        &world().metrics(), record_metrics_, &world().trace());
-    core_->set_checkpoint_sink([this](PartitionServerCore::SnapshotPtr snap) {
-      checkpoint_ = std::move(snap);
+    core_ = make_core_(*this);
+    paxos::ReplicaCore& replica = core_->member().replica();
+    replica.set_checkpoint_hook([this]() -> sim::MessagePtr {
+      checkpoint_ = core_->on_checkpoint_boundary();
+      return sim::make_message<Carrier>(checkpoint_);
+    });
+    replica.set_snapshot_provider([this]() -> sim::MessagePtr {
+      return sim::make_message<Carrier>(core_->take_snapshot());
+    });
+    replica.set_snapshot_installer([this](const sim::MessagePtr& m) {
+      const auto* carrier = dynamic_cast<const Carrier*>(m.get());
+      if (carrier == nullptr) return false;
+      core_->install_snapshot(*carrier->state);
+      return true;
     });
   }
 
-  const paxos::Topology& topology_;
-  PartitionId partition_;
-  const SystemConfig& config_;
-  AppFactory app_factory_;
-  bool record_metrics_;
-  std::unique_ptr<PartitionServerCore> core_;  // volatile (dies on crash)
-  PartitionServerCore::SnapshotPtr checkpoint_;  // durable
+  CoreFactory make_core_;
+  std::unique_ptr<Core> core_;  // volatile (dies on crash)
+  SnapshotPtr checkpoint_;      // durable
 };
 
-/// Oracle analog of ServerNode: volatile core + durable checkpoint.
-class OracleNode final : public sim::Process {
- public:
-  OracleNode(ProcessId id, sim::World& world, const paxos::Topology& topology,
-             const SystemConfig& config, bool record_metrics)
-      : sim::Process(id, world),
-        topology_(topology),
-        config_(config),
-        record_metrics_(record_metrics) {
-    set_message_service_time(config.oracle_service_time);
-    rebuild();
-  }
-
-  void on_start() override {
-    checkpoint_ = core_->capture_snapshot();
-    core_->start();
-  }
-
-  void on_crash() override { core_.reset(); }
-
-  void on_recover() override {
-    rebuild();
-    if (checkpoint_) core_->restore_snapshot(*checkpoint_);
-    core_->start_recovered();
-  }
-
-  void on_message(ProcessId from, const sim::MessagePtr& msg) override {
-    core_->handle(from, msg);
-  }
-
-  OracleCore& core() { return *core_; }
-  [[nodiscard]] OracleCore::SnapshotPtr checkpoint() const {
-    return checkpoint_;
-  }
-
- private:
-  void rebuild() {
-    core_ = std::make_unique<OracleCore>(*this, topology_, config_,
-                                         &world().metrics(), record_metrics_,
-                                         &world().trace());
-    core_->set_checkpoint_sink(
-        [this](OracleCore::SnapshotPtr snap) { checkpoint_ = std::move(snap); });
-  }
-
-  const paxos::Topology& topology_;
-  const SystemConfig& config_;
-  bool record_metrics_;
-  std::unique_ptr<OracleCore> core_;  // volatile (dies on crash)
-  OracleCore::SnapshotPtr checkpoint_;  // durable
-};
+using ServerNode = ReplicaNode<PartitionServerCore>;
+using OracleNode = ReplicaNode<OracleCore>;
 
 class ClientNode final : public sim::Process {
  public:

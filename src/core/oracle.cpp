@@ -60,28 +60,6 @@ OracleCore::OracleCore(sim::Env& env, const paxos::Topology& topology,
     member_.set_shed_deliver(
         [this](const multicast::McastData& data) { on_shed_deliver(data); });
   }
-  member_.replica().set_checkpoint_hook([this] { on_checkpoint_boundary(); });
-  member_.replica().set_snapshot_provider([this] {
-    return sim::make_message<OracleSnapshotMsg>(capture_snapshot());
-  });
-  member_.replica().set_snapshot_installer([this](const sim::MessagePtr& m) {
-    const auto* snap = dynamic_cast<const OracleSnapshotMsg*>(m.get());
-    if (snap == nullptr || !snap->state) return false;
-    restore_snapshot(*snap->state);
-    if (metrics_) metrics_->add_counter(metric::kOracleSnapshotInstalls);
-    if (trace_)
-      trace_->record(TracePoint::kSnapshotInstall, env_.now(),
-                     snap->state->member.replica.next_deliver_slot, 0,
-                     env_.self().value(), /*oracle=*/UINT64_MAX);
-    return true;
-  });
-  // Chunked transfers serve the stable checkpoint snapshot (identical across
-  // the group at a given slot), letting a lagging oracle replica resume a
-  // transfer from any up-to-date peer. See PartitionServerCore for details.
-  member_.replica().set_stable_snapshot_provider([this]() -> sim::MessagePtr {
-    if (!stable_snapshot_) return nullptr;
-    return sim::make_message<OracleSnapshotMsg>(stable_snapshot_);
-  });
   member_.replica().set_metrics(metrics_);
 }
 
@@ -90,52 +68,39 @@ void OracleCore::start() {
   arm_plan_repair_timer();
 }
 
-void OracleCore::on_checkpoint_boundary() {
-  SnapshotPtr snap = capture_snapshot();
-  stable_snapshot_ = snap;
-  if (checkpoint_sink_) checkpoint_sink_(std::move(snap));
-  if (metrics_) metrics_->add_counter(metric::kOracleCheckpoints);
-  if (trace_)
-    trace_->record(TracePoint::kCheckpoint, env_.now(),
-                   member_.replica().last_checkpoint_slot(), 0,
-                   env_.self().value(), /*oracle=*/UINT64_MAX);
-}
-
 OracleCore::SnapshotPtr OracleCore::capture_snapshot() const {
-  auto snap = std::make_shared<Snapshot>();
-  snap->member = member_.capture_state();
-  snap->plan_sender = plan_sender_.capture();
-  snap->map = map_;
-  snap->epoch = epoch_;
-  snap->graph = graph_;
-  snap->pending_creates = pending_creates_;
-  snap->relay_cache = relay_cache_;
-  snap->changes = changes_;
-  snap->create_round_robin = create_round_robin_;
-  snap->relays_emitted = relays_emitted_;
-  return snap;
+  return std::make_shared<const Snapshot>(Snapshot{
+      member_.capture_state(), plan_sender_.capture(), durable_});
 }
 
 void OracleCore::restore_snapshot(const Snapshot& snapshot) {
   member_.restore_state(snapshot.member);
   plan_sender_.restore(snapshot.plan_sender);
-  map_ = snapshot.map;
-  epoch_ = snapshot.epoch;
-  graph_ = snapshot.graph;
-  pending_creates_ = snapshot.pending_creates;
-  relay_cache_ = snapshot.relay_cache;
-  changes_ = snapshot.changes;
-  create_round_robin_ = snapshot.create_round_robin;
-  relays_emitted_ = snapshot.relays_emitted;
-  // The adopted state's checkpoint history belongs to the peer; our next
-  // boundary repopulates the stable snapshot.
-  stable_snapshot_ = nullptr;
-  // Replica-local plan state: any computation in flight at the crash is
-  // gone (its timer died with the old incarnation); reset the latch so a
-  // later hint delivery can trigger a plan again.
-  computing_ = false;
-  repartition_requested_ = false;
-  last_plan_time_ = env_.now();
+  durable_ = snapshot.durable;
+  // Any plan computation in flight at the crash is gone (its timer died with
+  // the old incarnation); resetting the latch lets a later hint delivery
+  // trigger a plan again.
+  volatile_ = Volatile{};
+  volatile_.last_plan_time = env_.now();
+}
+
+OracleCore::SnapshotPtr OracleCore::on_checkpoint_boundary() {
+  SnapshotPtr snap = capture_snapshot();
+  if (metrics_) metrics_->add_counter(metric::kOracleCheckpoints);
+  if (trace_)
+    trace_->record(TracePoint::kCheckpoint, env_.now(),
+                   member_.replica().last_checkpoint_slot(), 0,
+                   env_.self().value(), /*oracle=*/UINT64_MAX);
+  return snap;
+}
+
+void OracleCore::install_snapshot(const Snapshot& snapshot) {
+  restore_snapshot(snapshot);
+  if (metrics_) metrics_->add_counter(metric::kOracleSnapshotInstalls);
+  if (trace_)
+    trace_->record(TracePoint::kSnapshotInstall, env_.now(),
+                   snapshot.member.replica.next_deliver_slot, 0,
+                   env_.self().value(), /*oracle=*/UINT64_MAX);
 }
 
 void OracleCore::start_recovered() {
@@ -159,13 +124,13 @@ void OracleCore::arm_plan_repair_timer() {
 }
 
 void OracleCore::preload_assignment(AssignmentPtr assignment, Epoch epoch) {
-  map_ = *assignment;
-  epoch_ = epoch;
-  for (const auto& [vertex, partition] : map_) graph_.add_vertex(vertex.value(), 0);
+  durable_.map = *assignment;
+  durable_.epoch = epoch;
+  for (const auto& [vertex, partition] : durable_.map) durable_.graph.add_vertex(vertex.value(), 0);
 }
 
 void OracleCore::preload_vertex(VertexId v, std::int64_t weight) {
-  graph_.add_vertex(v.value(), weight);
+  durable_.graph.add_vertex(v.value(), weight);
 }
 
 bool OracleCore::handle(ProcessId from, const sim::MessagePtr& msg) {
@@ -176,10 +141,10 @@ bool OracleCore::handle(ProcessId from, const sim::MessagePtr& msg) {
 }
 
 PartitionId OracleCore::lookup(VertexId v) const {
-  auto pending = pending_creates_.find(v);
-  if (pending != pending_creates_.end()) return pending->second;
-  auto it = map_.find(v);
-  return it == map_.end() ? kNoPartition : it->second;
+  auto pending = durable_.pending_creates.find(v);
+  if (pending != durable_.pending_creates.end()) return pending->second;
+  auto it = durable_.map.find(v);
+  return it == durable_.map.end() ? kNoPartition : it->second;
 }
 
 void OracleCore::on_adeliver(const multicast::McastData& data) {
@@ -212,7 +177,7 @@ void OracleCore::send_prophecy(
   env_.send_message(request.cmd->client,
                     sim::make_message<Prophecy>(
                         request.cmd->cmd_id, request.attempt, status, target,
-                        epoch_, std::move(locations), retry_after));
+                        durable_.epoch, std::move(locations), retry_after));
 }
 
 void OracleCore::on_shed_deliver(const multicast::McastData& data) {
@@ -256,8 +221,9 @@ void OracleCore::on_request(const OracleRequest& request) {
     if (target == kNoPartition) {
       // "Random" placement (Algorithm 2 line 6) — round robin is random
       // w.r.t. the workload and, critically, deterministic across replicas.
-      target = PartitionId{create_round_robin_++ % config_.num_partitions};
-      pending_creates_.emplace(vertex, target);
+      target = PartitionId{durable_.create_round_robin++ %
+                           config_.num_partitions};
+      durable_.pending_creates.emplace(vertex, target);
     }
     // Retransmitted creates resolve to the already-placed vertex, so the
     // same target is addressed again and its reply cache answers. STAR also
@@ -275,13 +241,14 @@ void OracleCore::on_request(const OracleRequest& request) {
     }
     auto exec = sim::make_message<ExecCommand>(
         request.cmd, std::move(dests), std::vector<PartitionId>{target},
-        target, epoch_, request.attempt);
-    relay_cache_[cmd.client.value()] = exec;
+        target, durable_.epoch, request.attempt);
+    durable_.relay_cache[cmd.client.value()] = exec;
     if (trace_)
       trace_->record(TracePoint::kOracleRelay, env_.now(), cmd.cmd_id,
                      request.attempt, env_.self().value(), target.value());
-    member_.amcast_as_group(oracle_uid(/*purpose=*/1, ++relays_emitted_),
-                            std::move(groups), exec);
+    member_.amcast_as_group(
+        oracle_uid(/*purpose=*/1, ++durable_.relays_emitted),
+        std::move(groups), exec);
     send_prophecy(request, ReplyStatus::kOk, target, {{vertex, target}});
     return;
   }
@@ -298,8 +265,8 @@ void OracleCore::on_request(const OracleRequest& request) {
       // addressing (under the fresh attempt) so the target's reply cache
       // answers; the prophecy carries no locations — the pinned addressing
       // must not seed the client's cache.
-      auto cached = relay_cache_.find(cmd.client.value());
-      if (cached != relay_cache_.end() &&
+      auto cached = durable_.relay_cache.find(cmd.client.value());
+      if (cached != durable_.relay_cache.end() &&
           cached->second->cmd->cmd_id == cmd.cmd_id) {
         const ExecCommand& prev = *cached->second;
         if (record_metrics_ && metrics_)
@@ -313,7 +280,8 @@ void OracleCore::on_request(const OracleRequest& request) {
         for (PartitionId d : prev.dests) groups.push_back(group_of(d));
         if (cmd.type == CommandType::kDelete) groups.push_back(kOracleGroup);
         member_.amcast_as_group(
-            oracle_uid(/*purpose=*/1, ++relays_emitted_), std::move(groups),
+            oracle_uid(/*purpose=*/1, ++durable_.relays_emitted),
+            std::move(groups),
             sim::make_message<ExecCommand>(prev.cmd, prev.dests,
                                                 prev.owners, prev.target,
                                                 prev.epoch, request.attempt));
@@ -339,8 +307,8 @@ void OracleCore::on_request(const OracleRequest& request) {
 
   auto exec = sim::make_message<ExecCommand>(
       request.cmd, std::move(route.dests), std::move(owners), route.target,
-      epoch_, request.attempt);
-  relay_cache_[cmd.client.value()] = exec;
+      durable_.epoch, request.attempt);
+  durable_.relay_cache[cmd.client.value()] = exec;
   // Lease-aware serving: the partitions decide lease eligibility from the
   // relay itself (same predicate both sides), so the oracle only accounts
   // for it — these relays resolve without any borrow/return traffic.
@@ -351,7 +319,7 @@ void OracleCore::on_request(const OracleRequest& request) {
   if (trace_)
     trace_->record(TracePoint::kOracleRelay, env_.now(), cmd.cmd_id,
                    request.attempt, env_.self().value(), route.target.value());
-  member_.amcast_as_group(oracle_uid(/*purpose=*/1, ++relays_emitted_),
+  member_.amcast_as_group(oracle_uid(/*purpose=*/1, ++durable_.relays_emitted),
                           std::move(groups), exec);
   send_prophecy(request, ReplyStatus::kOk, route.target, std::move(locations));
 }
@@ -360,60 +328,63 @@ void OracleCore::on_create_apply(const ExecCommand& exec) {
   // Task 2/5: our own copy of a relayed create or delete.
   const VertexId vertex = exec.cmd->vertices.front();
   if (exec.cmd->type == CommandType::kCreate) {
-    map_[vertex] = exec.target;
-    graph_.add_vertex(vertex.value(), 1);
-    pending_creates_.erase(vertex);
+    durable_.map[vertex] = exec.target;
+    durable_.graph.add_vertex(vertex.value(), 1);
+    durable_.pending_creates.erase(vertex);
   } else if (exec.cmd->type == CommandType::kDelete) {
-    map_.erase(vertex);
-    graph_.remove_vertex(vertex.value());
+    durable_.map.erase(vertex);
+    durable_.graph.remove_vertex(vertex.value());
   }
 }
 
 void OracleCore::on_hint(const HintReport& hint) {
   std::uint64_t delta = 0;
   for (const auto& [vertex, weight] : hint.vertex_weights) {
-    graph_.add_vertex(vertex, weight);
+    durable_.graph.add_vertex(vertex, weight);
     delta += static_cast<std::uint64_t>(weight);
   }
   for (const auto& [a, b, weight] : hint.edges)
-    graph_.add_edge(a, b, weight);
-  changes_ += delta;
+    durable_.graph.add_edge(a, b, weight);
+  durable_.changes += delta;
   maybe_trigger_repartition();
 }
 
 void OracleCore::on_location_update(const LocationUpdate& update) {
-  for (const auto& [vertex, partition] : update.moves) map_[vertex] = partition;
+  for (const auto& [vertex, partition] : update.moves)
+    durable_.map[vertex] = partition;
 }
 
 void OracleCore::maybe_trigger_repartition() {
-  if (!config_.repartitioning_enabled || computing_) return;
-  if (!repartition_requested_ && changes_ < config_.repartition_hint_threshold)
+  if (!config_.repartitioning_enabled || volatile_.computing) return;
+  if (!volatile_.repartition_requested &&
+      durable_.changes < config_.repartition_hint_threshold)
     return;
   // Cooldown between plans. This check reads the replica-local clock, so the
   // two oracle replicas may disagree about a borderline trigger — that is
   // safe: plans are deduplicated by epoch at every receiver, so at most one
   // plan per epoch ever applies.
-  if (!repartition_requested_ &&
-      env_.now() - last_plan_time_ < config_.min_repartition_interval) {
+  if (!volatile_.repartition_requested &&
+      env_.now() - volatile_.last_plan_time <
+          config_.min_repartition_interval) {
     return;
   }
-  repartition_requested_ = false;
-  changes_ = 0;
-  computing_ = true;
-  last_plan_time_ = env_.now();
+  volatile_.repartition_requested = false;
+  durable_.changes = 0;
+  volatile_.computing = true;
+  volatile_.last_plan_time = env_.now();
 
   // Age the workload graph so the plan tracks *current* access patterns
   // (deterministic: applied at the same log position on every replica).
   if (config_.workload_graph_decay < 1.0)
-    graph_.decay(config_.workload_graph_decay);
+    durable_.graph.decay(config_.workload_graph_decay);
 
   // Deterministic snapshot at this log position: graph + current map. The
   // partitioner itself runs "in the background" (paper §5.2): the oracle
   // keeps serving; completion is modeled as a timer proportional to the
   // graph size, with per-replica jitter (first finisher's plan wins).
   auto snapshot = std::make_shared<partitioning::WorkloadGraph::Compact>(
-      graph_.compact());
-  const Epoch candidate = epoch_ + 1;
+      durable_.graph.compact());
+  const Epoch candidate = durable_.epoch + 1;
   const auto elements = static_cast<double>(snapshot->graph.num_vertices() +
                                             2 * snapshot->graph.num_edges());
   SimTime delay =
@@ -431,7 +402,8 @@ void OracleCore::maybe_trigger_repartition() {
 void OracleCore::finish_repartition(
     Epoch candidate,
     std::shared_ptr<partitioning::WorkloadGraph::Compact> snapshot) {
-  if (epoch_ >= candidate) return;  // another replica's plan landed first
+  // Another replica's plan landed first.
+  if (durable_.epoch >= candidate) return;
 
   const std::uint32_t k = config_.num_partitions;
   partitioning::PartitionerConfig pconfig = config_.partitioner;
@@ -442,9 +414,10 @@ void OracleCore::finish_repartition(
   // plan moves the minimum number of vertices.
   std::vector<std::uint32_t> previous(snapshot->ids.size(), 0);
   for (std::size_t i = 0; i < snapshot->ids.size(); ++i) {
-    auto it = map_.find(VertexId{snapshot->ids[i]});
-    previous[i] =
-        it == map_.end() ? 0 : static_cast<std::uint32_t>(it->second.value());
+    auto it = durable_.map.find(VertexId{snapshot->ids[i]});
+    previous[i] = it == durable_.map.end()
+                      ? 0
+                      : static_cast<std::uint32_t>(it->second.value());
   }
   auto relabeled = partitioning::remap_to_minimize_moves(
       snapshot->graph, k, previous, std::move(result.assignment));
@@ -456,8 +429,9 @@ void OracleCore::finish_repartition(
     const VertexId vertex{snapshot->ids[i]};
     const PartitionId new_owner{relabeled[i]};
     assignment->emplace(vertex, new_owner);
-    auto it = map_.find(vertex);
-    const PartitionId old_owner = it == map_.end() ? kNoPartition : it->second;
+    auto it = durable_.map.find(vertex);
+    const PartitionId old_owner =
+        it == durable_.map.end() ? kNoPartition : it->second;
     if (old_owner != new_owner && old_owner != kNoPartition)
       moves->push_back(VertexMove{vertex, old_owner, new_owner});
   }
@@ -476,12 +450,12 @@ void OracleCore::finish_repartition(
 }
 
 void OracleCore::on_plan(const PlanMsg& plan) {
-  if (plan.epoch <= epoch_) return;  // the other replica's duplicate
+  if (plan.epoch <= durable_.epoch) return;  // the other replica's duplicate
   for (const auto& [vertex, partition] : *plan.assignment)
-    map_[vertex] = partition;
-  epoch_ = plan.epoch;
-  computing_ = false;
-  last_plan_time_ = env_.now();
+    durable_.map[vertex] = partition;
+  durable_.epoch = plan.epoch;
+  volatile_.computing = false;
+  volatile_.last_plan_time = env_.now();
   if (trace_)
     trace_->record(TracePoint::kPlanApplied, env_.now(), plan.epoch, 0,
                    env_.self().value(), /*oracle=*/UINT64_MAX);

@@ -36,9 +36,9 @@ namespace dynastar::core {
 
 class OracleCore {
  public:
-  /// A full copy of an oracle replica's volatile state at a slot boundary:
-  /// multicast + Paxos position, the plan sender's outbox, the location map,
-  /// the workload graph, and the relay (at-most-once) cache.
+  /// A full copy of an oracle replica's durable state at a slot boundary:
+  /// multicast + Paxos position, the plan sender's outbox and the Durable
+  /// fields (location map, workload graph, relay cache).
   struct Snapshot;
   using SnapshotPtr = std::shared_ptr<const Snapshot>;
 
@@ -48,17 +48,18 @@ class OracleCore {
 
   void start();
 
-  /// Receives the snapshot captured at each checkpoint boundary; the owning
-  /// node stores it as the replica's durable checkpoint.
-  void set_checkpoint_sink(std::function<void(SnapshotPtr)> sink) {
-    checkpoint_sink_ = std::move(sink);
-  }
-
-  /// Captures the complete volatile state.
+  /// Captures the durable state.
   [[nodiscard]] SnapshotPtr capture_snapshot() const;
 
-  /// Replaces all volatile state with a snapshot's contents.
+  /// Replaces the durable state with a snapshot's contents and resets the
+  /// volatile plan-computation state.
   void restore_snapshot(const Snapshot& snapshot);
+
+  // Snapshot hooks, driven by the hosting ReplicaNode (core/nodes.h); see
+  // PartitionServerCore for their contracts.
+  [[nodiscard]] SnapshotPtr take_snapshot() const { return capture_snapshot(); }
+  [[nodiscard]] SnapshotPtr on_checkpoint_boundary();
+  void install_snapshot(const Snapshot& snapshot);
 
   /// Rejoins the group after restore_snapshot() on a fresh incarnation:
   /// re-arms timers and proactively pulls the missing log suffix. Plan
@@ -73,11 +74,13 @@ class OracleCore {
   /// Seeds the workload graph (so the first plan covers preloaded vertices).
   void preload_vertex(VertexId v, std::int64_t weight = 1);
 
-  [[nodiscard]] Epoch epoch() const { return epoch_; }
+  [[nodiscard]] Epoch epoch() const { return durable_.epoch; }
   [[nodiscard]] const partitioning::WorkloadGraph& graph() const {
-    return graph_;
+    return durable_.graph;
   }
-  [[nodiscard]] const Assignment& location_map() const { return map_; }
+  [[nodiscard]] const Assignment& location_map() const {
+    return durable_.map;
+  }
   multicast::MemberCore& member() { return member_; }
 
   /// Load signal driving the oracle's admission gate: messages waiting in
@@ -86,15 +89,14 @@ class OracleCore {
   /// Task-2 delivery is still in flight.
   [[nodiscard]] std::size_t queue_depth() const {
     return env_.inbox_depth() + member_.outbox_depth() +
-           pending_creates_.size();
+           durable_.pending_creates.size();
   }
 
   /// Forces a repartition on the next hint delivery (used by benches that
   /// reproduce a specific repartition time).
-  void request_repartition() { repartition_requested_ = true; }
+  void request_repartition() { volatile_.repartition_requested = true; }
 
  private:
-  void on_checkpoint_boundary();
   void on_adeliver(const multicast::McastData& data);
   void on_shed_deliver(const multicast::McastData& data);
   void on_request(const OracleRequest& request);
@@ -119,65 +121,53 @@ class OracleCore {
   MetricsRegistry* metrics_;
   bool record_metrics_;
   TraceCollector* trace_;
-  std::function<void(SnapshotPtr)> checkpoint_sink_;
-  /// Snapshot captured at the last checkpoint boundary; serves chunked
-  /// state transfers (see PartitionServerCore::stable_snapshot_).
-  SnapshotPtr stable_snapshot_;
   /// Label identifying this replica in per-node metrics.
   std::string replica_label_;
 
   multicast::MemberCore member_;
   multicast::McastClient plan_sender_;  // per-replica sender for PlanMsg
 
-  Assignment map_;
-  Epoch epoch_ = 0;
-  partitioning::WorkloadGraph graph_;
+  /// The oracle's replicated state: a snapshot holds this value, so a field
+  /// declared here survives a crash.
+  struct Durable {
+    Assignment map;
+    Epoch epoch = 0;
+    partitioning::WorkloadGraph graph;
+    /// Creates relayed but whose Task-2 delivery has not landed yet.
+    common::FlatMap<VertexId, PartitionId> pending_creates;
+    /// Last command relayed per client. A retransmitted request whose
+    /// vertices no longer resolve (the original attempt already executed a
+    /// delete) is re-relayed with the original addressing so the target's
+    /// reply cache can answer it, instead of bouncing kNok at the client.
+    std::unordered_map<std::uint64_t, sim::Ref<const ExecCommand>>
+        relay_cache;
+    std::uint64_t changes = 0;  // hint deltas since last plan
+    std::uint64_t create_round_robin = 0;
+    std::uint64_t relays_emitted = 0;  // uid counter for group multicasts
+  };
+  Durable durable_;
 
-  /// Creates relayed but whose Task-2 delivery has not landed yet.
-  common::FlatMap<VertexId, PartitionId> pending_creates_;
-
-  /// Last command relayed per client. A retransmitted request whose vertices
-  /// no longer resolve (the original attempt already executed a delete) is
-  /// re-relayed with the original addressing so the target's reply cache can
-  /// answer it, instead of bouncing kNok at the client.
-  std::unordered_map<std::uint64_t, sim::Ref<const ExecCommand>>
-      relay_cache_;
-
-  std::uint64_t changes_ = 0;         // hint deltas since last plan
-  bool computing_ = false;            // a plan is being computed
-  SimTime last_plan_time_ = 0;        // replica-local cooldown anchor
-  bool repartition_requested_ = false;
-  std::uint64_t create_round_robin_ = 0;
-  std::uint64_t relays_emitted_ = 0;  // uid counter for group multicasts
+  /// Replica-local plan-computation state: restore_snapshot()
+  /// value-initialises it (anchoring the cooldown at the restore instant),
+  /// so a restored replica starts with no plan in flight.
+  struct Volatile {
+    bool computing = false;  // a plan is being computed
+    bool repartition_requested = false;
+    SimTime last_plan_time = 0;  // cooldown anchor
+  };
+  Volatile volatile_;
 };
 
-/// Defined out of line so it can name the core's private bookkeeping types.
-/// Deliberately excludes the replica-local plan-computation latch and
-/// cooldown anchor: a restored replica starts with no plan in flight.
+/// Defined out of line so it can name the core's private Durable type.
 struct OracleCore::Snapshot {
   multicast::MemberCore::State member;
   multicast::McastClient::State plan_sender;
+  Durable durable;
 
-  Assignment map;
-  Epoch epoch = 0;
-  partitioning::WorkloadGraph graph;
-  common::FlatMap<VertexId, PartitionId> pending_creates;
-  std::unordered_map<std::uint64_t, sim::Ref<const ExecCommand>> relay_cache;
-  std::uint64_t changes = 0;
-  std::uint64_t create_round_robin = 0;
-  std::uint64_t relays_emitted = 0;
-};
-
-/// Carrier for an oracle snapshot travelling as an InstallSnapshotResp
-/// payload.
-struct OracleSnapshotMsg final : sim::Message {
-  explicit OracleSnapshotMsg(OracleCore::SnapshotPtr s)
-      : state(std::move(s)) {}
-  const char* type_name() const override { return "core.OracleSnapshot"; }
-  std::size_t size_bytes() const override {
-    return 256 + (state ? state->map.size() * 16 : 0);
+  /// Approximate wire size when shipped to a peer.
+  [[nodiscard]] std::size_t size_bytes() const {
+    return 256 + durable.map.size() * 16;
   }
-  OracleCore::SnapshotPtr state;
 };
 
 }  // namespace dynastar::core

@@ -76,31 +76,6 @@ PartitionServerCore::PartitionServerCore(
     member_.set_shed_deliver(
         [this](const multicast::McastData& data) { on_shed_deliver(data); });
   }
-  member_.replica().set_checkpoint_hook([this] { on_checkpoint_boundary(); });
-  member_.replica().set_snapshot_provider([this] {
-    // The pending executor batch is volatile, never snapshotted state:
-    // apply it so the snapshot sits at a state the log reproduces.
-    flush_exec_batch();
-    return sim::make_message<ServerSnapshotMsg>(capture_snapshot());
-  });
-  member_.replica().set_snapshot_installer([this](const sim::MessagePtr& m) {
-    const auto* snap = dynamic_cast<const ServerSnapshotMsg*>(m.get());
-    if (snap == nullptr || !snap->state) return false;
-    restore_snapshot(*snap->state);
-    if (metrics_) metrics_->add_counter(metric::kServerSnapshotInstalls);
-    if (trace_)
-      trace_->record(TracePoint::kSnapshotInstall, env_.now(),
-                     snap->state->member.replica.next_deliver_slot, 0,
-                     env_.self().value(), partition_.value());
-    return true;
-  });
-  // Chunked transfers serve the last checkpoint-boundary snapshot (stable
-  // across the group at identical slots) rather than a fresh tip capture, so
-  // any up-to-date peer can answer chunk pulls for the same manifest.
-  member_.replica().set_stable_snapshot_provider([this]() -> sim::MessagePtr {
-    if (!stable_snapshot_) return nullptr;
-    return sim::make_message<ServerSnapshotMsg>(stable_snapshot_);
-  });
   member_.replica().set_metrics(metrics_);
   if (config_.exec_lanes > 1)
     exec_ = std::make_unique<ParallelExecutor>(config_.exec_lanes,
@@ -126,17 +101,38 @@ std::vector<ProcessId> PartitionServerCore::reliable_peers() const {
   return peers;
 }
 
-void PartitionServerCore::on_checkpoint_boundary() {
+PartitionServerCore::SnapshotPtr PartitionServerCore::capture_snapshot()
+    const {
+  return std::make_shared<const Snapshot>(
+      Snapshot{member_.capture_state(), reliable_.capture(),
+               star_sender_.capture(), durable_, store_.deep_copy()});
+}
+
+void PartitionServerCore::restore_snapshot(const Snapshot& snapshot) {
+  member_.restore_state(snapshot.member);
+  reliable_.restore(snapshot.reliable, reliable_peers());
+  star_sender_.restore(snapshot.star_sender);
+  durable_ = snapshot.durable;
+  store_ = snapshot.store.deep_copy();
+  // A live install drops the pending executor batch: it refers to log
+  // positions the installed state already covers (the peer executed those
+  // slots), so applying it now would double-execute. Installed leases die
+  // too; restored data-less grants then fail validation, fall back to
+  // kRetry, and the retry is served fresh full grants.
+  volatile_ = Volatile{};
+  volatile_.star_marker_inflight = durable_.star.epoch;
+}
+
+PartitionServerCore::SnapshotPtr PartitionServerCore::take_snapshot() {
+  flush_exec_batch();
+  return capture_snapshot();
+}
+
+PartitionServerCore::SnapshotPtr PartitionServerCore::on_checkpoint_boundary() {
   // Boundaries are slot-count driven, so every replica flushes its pending
   // executor batch at the same log position — checkpoints stay identical
   // across replicas even though batch windows are timer-local.
-  flush_exec_batch();
-  // One capture feeds both the durability sink and the chunked-transfer
-  // stable snapshot: the Snapshot is immutable once built, so sharing the
-  // pointer costs nothing beyond the capture the sink forced anyway.
-  SnapshotPtr snap = capture_snapshot();
-  stable_snapshot_ = snap;
-  if (checkpoint_sink_) checkpoint_sink_(std::move(snap));
+  SnapshotPtr snap = take_snapshot();
   // Tell peers which of their retained sends this durable checkpoint covers.
   reliable_.note_checkpoint(env_.now(), reliable_peers());
   if (metrics_) metrics_->add_counter(metric::kServerCheckpoints);
@@ -144,112 +140,16 @@ void PartitionServerCore::on_checkpoint_boundary() {
     trace_->record(TracePoint::kCheckpoint, env_.now(),
                    member_.replica().last_checkpoint_slot(), 0,
                    env_.self().value(), partition_.value());
-}
-
-PartitionServerCore::SnapshotPtr PartitionServerCore::capture_snapshot()
-    const {
-  auto snap = std::make_shared<Snapshot>();
-  snap->member = member_.capture_state();
-  snap->reliable = reliable_.capture();
-  snap->reply_cache = reply_cache_;
-  snap->store = store_.deep_copy();
-  snap->map = map_;
-  snap->epoch = epoch_;
-  snap->queue = queue_;
-  snap->blocked = blocked_;
-  snap->future = future_;
-  snap->transfers = transfers_;
-  snap->lends = lends_;
-  snap->lent_objects = lent_objects_;
-  snap->lent_vertex_count = lent_vertex_count_;
-  snap->returns_seen = returns_seen_;
-  snap->early_returns = early_returns_;
-  snap->sent_transfers = sent_transfers_;
-  snap->ssmr_sent = ssmr_sent_;
-  snap->resolved = resolved_;
-  // Per-command lease-grant coordination is snapshotted like transfers_ (a
-  // restored target blocked at the queue head on already-acked grants would
-  // otherwise wait forever). Version counters are captured so they stay
-  // monotone across recovery (see the member comment in server.h); the
-  // leased copies and holder records are volatile by design and
-  // deliberately absent here.
-  snap->lease_grants = lease_grants_;
-  snap->lease_versions = lease_versions_;
-  snap->awaited = awaited_;
-  snap->obligations = obligations_;
-  snap->fetch_requested = fetch_requested_;
-  snap->fetch_wanted = fetch_wanted_;
-  snap->handoffs_seen = handoffs_seen_;
-  snap->handoff_buffer = handoff_buffer_;
-  snap->handoff_assembly = handoff_assembly_;
-  snap->hint_vertices = hint_vertices_;
-  snap->hint_edges = hint_edges_;
-  snap->commands_since_hint = commands_since_hint_;
-  snap->hint_emissions = hint_emissions_;
-  snap->location_updates_emitted = location_updates_emitted_;
-  snap->dssmr_moves = dssmr_moves_;
-  snap->star_sender = star_sender_.capture();
-  snap->star_epoch = star_epoch_;
-  snap->star_deferred = star_deferred_;
-  snap->star_updates = star_updates_;
   return snap;
 }
 
-void PartitionServerCore::restore_snapshot(const Snapshot& snapshot) {
-  member_.restore_state(snapshot.member);
-  reliable_.restore(snapshot.reliable, reliable_peers());
-  reply_cache_ = snapshot.reply_cache;
-  store_ = snapshot.store.deep_copy();
-  map_ = snapshot.map;
-  epoch_ = snapshot.epoch;
-  queue_ = snapshot.queue;
-  blocked_ = snapshot.blocked;
-  future_ = snapshot.future;
-  transfers_ = snapshot.transfers;
-  lends_ = snapshot.lends;
-  lent_objects_ = snapshot.lent_objects;
-  lent_vertex_count_ = snapshot.lent_vertex_count;
-  returns_seen_ = snapshot.returns_seen;
-  early_returns_ = snapshot.early_returns;
-  sent_transfers_ = snapshot.sent_transfers;
-  ssmr_sent_ = snapshot.ssmr_sent;
-  resolved_ = snapshot.resolved;
-  lease_grants_ = snapshot.lease_grants;
-  lease_versions_ = snapshot.lease_versions;
-  // Leases are volatile: installed copies and holder records die with the
-  // incarnation (a regression test pins that they are not in the snapshot).
-  // Restored data-less grants then fail validation, fall back to kRetry,
-  // and the retry is served fresh full grants.
-  leases_.clear();
-  lease_holders_.clear();
-  awaited_ = snapshot.awaited;
-  obligations_ = snapshot.obligations;
-  fetch_requested_ = snapshot.fetch_requested;
-  fetch_wanted_ = snapshot.fetch_wanted;
-  handoffs_seen_ = snapshot.handoffs_seen;
-  handoff_buffer_ = snapshot.handoff_buffer;
-  handoff_assembly_ = snapshot.handoff_assembly;
-  // The adopted state's checkpoint history belongs to the peer; our next
-  // boundary (forced right after install) repopulates the stable snapshot.
-  stable_snapshot_ = nullptr;
-  hint_vertices_ = snapshot.hint_vertices;
-  hint_edges_ = snapshot.hint_edges;
-  commands_since_hint_ = snapshot.commands_since_hint;
-  hint_emissions_ = snapshot.hint_emissions;
-  location_updates_emitted_ = snapshot.location_updates_emitted;
-  dssmr_moves_ = snapshot.dssmr_moves;
-  star_sender_.restore(snapshot.star_sender);
-  star_epoch_ = snapshot.star_epoch;
-  star_deferred_ = snapshot.star_deferred;
-  star_updates_ = snapshot.star_updates;
-  // Replica-local marker throttle: any marker in flight at the crash died
-  // with the old incarnation's timer; the next timer tick may re-emit.
-  star_marker_inflight_ = snapshot.star_epoch;
-  // Live snapshot install: a pending executor batch refers to log positions
-  // the installed state already covers (the peer executed those slots), so
-  // applying it now would double-execute. Drop it; the peer's replies stand.
-  exec_pending_.clear();
-  exec_pending_clients_.clear();
+void PartitionServerCore::install_snapshot(const Snapshot& snapshot) {
+  restore_snapshot(snapshot);
+  if (metrics_) metrics_->add_counter(metric::kServerSnapshotInstalls);
+  if (trace_)
+    trace_->record(TracePoint::kSnapshotInstall, env_.now(),
+                   snapshot.member.replica.next_deliver_slot, 0,
+                   env_.self().value(), partition_.value());
 }
 
 void PartitionServerCore::start_recovered() {
@@ -276,8 +176,8 @@ void PartitionServerCore::preload_object(ObjectId id, VertexId vertex,
 
 void PartitionServerCore::preload_assignment(AssignmentPtr assignment,
                                              Epoch epoch) {
-  map_ = *assignment;
-  epoch_ = epoch;
+  durable_.exec.map = *assignment;
+  durable_.exec.epoch = epoch;
 }
 
 bool PartitionServerCore::handle(ProcessId from, const sim::MessagePtr& msg) {
@@ -349,13 +249,13 @@ void PartitionServerCore::send_to_partition(PartitionId p,
 void PartitionServerCore::on_adeliver(const multicast::McastData& data) {
   if (auto exec = sim::dyn_ref_cast<const ExecCommand>(data.payload)) {
     trace_cmd(TracePoint::kServerDeliver, *exec, partition_.value());
-    queue_.push_back(QueueItem{std::move(exec), nullptr, nullptr});
+    durable_.exec.queue.push_back(QueueItem{std::move(exec), nullptr, nullptr});
   } else if (auto plan =
                  sim::dyn_ref_cast<const PlanMsg>(data.payload)) {
-    queue_.push_back(QueueItem{nullptr, std::move(plan), nullptr});
+    durable_.exec.queue.push_back(QueueItem{nullptr, std::move(plan), nullptr});
   } else if (auto star =
                  sim::dyn_ref_cast<const StarEpochMsg>(data.payload)) {
-    queue_.push_back(QueueItem{nullptr, nullptr, std::move(star)});
+    durable_.exec.queue.push_back(QueueItem{nullptr, nullptr, std::move(star)});
   } else {
     return;  // oracle-only payloads multicast to every group are ignored here
   }
@@ -370,11 +270,12 @@ void PartitionServerCore::on_adeliver(const multicast::McastData& data) {
                                              {"replica", replica_label_}})
         .add(env_.now(), static_cast<double>(admission_depth()));
   }
-  if (!blocked_) pump();
+  if (!durable_.exec.blocked) pump();
 }
 
 std::size_t PartitionServerCore::admission_depth() const {
-  return env_.inbox_depth() + queue_.size() + exec_pending_.size();
+  return env_.inbox_depth() + durable_.exec.queue.size() +
+         volatile_.exec_pending.size();
 }
 
 void PartitionServerCore::on_shed_deliver(const multicast::McastData& data) {
@@ -405,12 +306,14 @@ void PartitionServerCore::on_shed_deliver(const multicast::McastData& data) {
 }
 
 void PartitionServerCore::pump() {
-  while (!queue_.empty()) {
-    blocked_ = false;
-    QueueItem& item = queue_.front();
+  auto& queue = durable_.exec.queue;
+  bool& blocked = durable_.exec.blocked;
+  while (!queue.empty()) {
+    blocked = false;
+    QueueItem& item = queue.front();
     if (item.plan) {
       PlanMsgPtr plan = item.plan;
-      queue_.pop_front();
+      queue.pop_front();
       // Plans relocate vertices; pending accesses precede them in slot order.
       flush_exec_batch();
       apply_plan(*plan);
@@ -418,77 +321,77 @@ void PartitionServerCore::pump() {
     }
     if (item.star) {
       sim::Ref<const StarEpochMsg> marker = item.star;
-      if (marker->epoch <= star_epoch_) {
+      if (marker->epoch <= durable_.star.epoch) {
         // The other master replica's copy of an already-applied switch.
-        queue_.pop_front();
+        queue.pop_front();
         continue;
       }
       // The epoch batch (master) / update splice (non-master) mutates state
       // in slot order; pending singles precede the marker.
       flush_exec_batch();
       if (is_star_master()) {
-        queue_.pop_front();
+        queue.pop_front();
         star_execute_batch(marker->epoch);
         continue;
       }
-      auto update = star_updates_.find(marker->epoch);
-      if (update == star_updates_.end()) {
+      auto update = durable_.star.updates.find(marker->epoch);
+      if (update == durable_.star.updates.end()) {
         // The marker's log position is the switch point, but the master's
         // state update travels the direct plane and may still be in flight.
-        blocked_ = true;
+        blocked = true;
         return;
       }
       sim::Ref<const StarEpochUpdate> state = update->second;
-      star_updates_.erase(update);
-      queue_.pop_front();
+      durable_.star.updates.erase(update);
+      queue.pop_front();
       apply_star_update(*state);
-      star_epoch_ = marker->epoch;
+      durable_.star.epoch = marker->epoch;
       continue;
     }
     ExecCommandPtr ec = item.exec;
     // A retransmission whose original still waits in the pending batch
     // would pass the duplicate check below (no cached reply yet) and
     // execute twice: flush first so the original lands in the cache.
-    if (!exec_pending_.empty() &&
-        exec_pending_clients_.contains(ec->cmd->client.value()))
+    if (!volatile_.exec_pending.empty() &&
+        volatile_.exec_pending_clients.contains(ec->cmd->client.value()))
       flush_exec_batch();
     if (serve_cached_duplicate(*ec)) {
-      queue_.pop_front();
+      queue.pop_front();
       continue;
     }
     if (ec->cmd->type == CommandType::kCreate) {
       // A pending access must observe pre-create state (slot order).
       flush_exec_batch();
       execute_create(*ec);
-      queue_.pop_front();
+      queue.pop_front();
       continue;
     }
     if (ec->cmd->type == CommandType::kDelete) {
       // A pending access may read the vertex this delete removes.
       flush_exec_batch();
       execute_delete(*ec);
-      queue_.pop_front();
+      queue.pop_front();
       continue;
     }
     if (config_.mode == ExecutionMode::kStar && star_multi_owner(*ec)) {
       // Multi-partition command: only the master group is addressed; defer
       // it (in delivery order) to the next epoch switch, where it executes
       // against the full replica without borrow/return round-trips.
-      star_deferred_.push_back(ec);
-      queue_.pop_front();
+      durable_.star.deferred.push_back(ec);
+      queue.pop_front();
       continue;
     }
     const CmdKey key{ec->cmd->cmd_id, ec->attempt};
     switch (classify(*ec)) {
       case Classification::kFuture:
-        future_.push_back(ec);
-        queue_.pop_front();
+        durable_.exec.future.push_back(ec);
+        queue.pop_front();
         continue;
       case Classification::kStale:
         // Consistent at every involved partition (commands and plans are
         // ordered by the atomic multicast), so no abort notices needed.
         reject(*ec, /*notify_peers=*/false);
-        queue_.pop_front();
+        queue.pop_front();
         continue;
       case Classification::kInvalid:
         if (config_.mode == ExecutionMode::kStar) {
@@ -499,13 +402,13 @@ void PartitionServerCore::pump() {
         } else {
           reject(*ec, /*notify_peers=*/true);
         }
-        queue_.pop_front();
+        queue.pop_front();
         continue;
       case Classification::kBlocked:
         // Serial execution would have applied the pending commands before
         // waiting here; do the same so their replies aren't held hostage.
         flush_exec_batch();
-        blocked_ = true;
+        blocked = true;
         return;
       case Classification::kReady:
         break;
@@ -513,7 +416,7 @@ void PartitionServerCore::pump() {
 
     if (exec_ && exec_batchable(*ec)) {
       exec_enqueue(ec);
-      queue_.pop_front();
+      queue.pop_front();
       continue;
     }
     // Everything below observes or mutates state in slot order (borrows,
@@ -522,29 +425,29 @@ void PartitionServerCore::pump() {
 
     if (config_.mode == ExecutionMode::kStar) {
       execute_star_single(*ec);
-      queue_.pop_front();
+      queue.pop_front();
       continue;
     }
 
     const bool multi = ec->dests.size() > 1;
     if (config_.mode == ExecutionMode::kSSMR) {
       if (multi && !transfers_ready_for_ssmr(*ec)) {
-        blocked_ = true;
+        blocked = true;
         return;
       }
       execute_ssmr(*ec);
-      queue_.pop_front();
+      queue.pop_front();
       continue;
     }
 
     if (ec->target == partition_) {
       if (lease_eligible(*ec)) {
         execute_leased_read(*ec);
-        queue_.pop_front();
+        queue.pop_front();
         continue;
       }
       execute_target(*ec);
-      queue_.pop_front();
+      queue.pop_front();
       continue;
     }
 
@@ -553,19 +456,20 @@ void PartitionServerCore::pump() {
     // latency win over borrow/return.
     if (lease_eligible(*ec)) {
       grant_lease(*ec);
-      queue_.pop_front();
+      queue.pop_front();
       continue;
     }
 
     // Non-target involved partition. Send our variables exactly once, then
     // (DynaStar) block until they come home (Algorithm 3 line 17).
-    if (!sent_transfers_.contains(key)) execute_non_target(*ec);
-    if (config_.mode == ExecutionMode::kDynaStar && lends_.contains(key)) {
-      blocked_ = true;
+    if (!durable_.borrow.sent_transfers.contains(key)) execute_non_target(*ec);
+    if (config_.mode == ExecutionMode::kDynaStar &&
+        durable_.borrow.lends.contains(key)) {
+      blocked = true;
       return;
     }
-    sent_transfers_.erase(key);
-    queue_.pop_front();
+    durable_.borrow.sent_transfers.erase(key);
+    queue.pop_front();
   }
 }
 
@@ -583,9 +487,9 @@ bool PartitionServerCore::exec_batchable(const ExecCommand& ec) const {
 }
 
 void PartitionServerCore::exec_enqueue(const ExecCommandPtr& ec) {
-  exec_pending_.push_back(ec);
-  exec_pending_clients_.insert(ec->cmd->client.value());
-  if (exec_pending_.size() >= config_.exec_batch_max) {
+  volatile_.exec_pending.push_back(ec);
+  volatile_.exec_pending_clients.insert(ec->cmd->client.value());
+  if (volatile_.exec_pending.size() >= config_.exec_batch_max) {
     flush_exec_batch();
     return;
   }
@@ -637,10 +541,11 @@ void PartitionServerCore::run_exec_batch(const std::vector<ExecCommandPtr>& batc
 }
 
 void PartitionServerCore::flush_exec_batch() {
-  if (exec_pending_.empty()) return;
-  std::vector<ExecCommandPtr> batch(exec_pending_.begin(), exec_pending_.end());
-  exec_pending_.clear();
-  exec_pending_clients_.clear();
+  if (volatile_.exec_pending.empty()) return;
+  std::vector<ExecCommandPtr> batch(volatile_.exec_pending.begin(),
+                                    volatile_.exec_pending.end());
+  volatile_.exec_pending.clear();
+  volatile_.exec_pending_clients.clear();
   std::vector<ExecResult> results;
   run_exec_batch(batch, results);
   // Commit effects in slot order: replies, caches, hints, metrics.
@@ -684,7 +589,7 @@ void PartitionServerCore::send_reply(const ExecCommand& ec, ReplyStatus status,
 void PartitionServerCore::remember_reply(const ExecCommand& ec,
                                          ReplyStatus status,
                                          const sim::MessagePtr& payload) {
-  auto& entry = reply_cache_[ec.cmd->client.value()];
+  auto& entry = durable_.exec.reply_cache[ec.cmd->client.value()];
   if (entry.cmd_id > ec.cmd->cmd_id) return;  // never regress
   entry = CachedReply{ec.cmd->cmd_id, status, payload};
 }
@@ -694,9 +599,9 @@ bool PartitionServerCore::serve_cached_duplicate(const ExecCommand& ec) {
   // executed here must not execute again. cmd_ids are monotone per client,
   // so cached >= delivered means the delivered command (or a successor)
   // already produced its authoritative reply.
-  auto it = reply_cache_.find(ec.cmd->client.value());
-  if (it == reply_cache_.end() || it->second.cmd_id < ec.cmd->cmd_id)
-    return false;
+  const auto& cache = durable_.exec.reply_cache;
+  auto it = cache.find(ec.cmd->client.value());
+  if (it == cache.end() || it->second.cmd_id < ec.cmd->cmd_id) return false;
   if (it->second.cmd_id == ec.cmd->cmd_id) {
     send_reply(ec, it->second.status, it->second.payload);
     if (record_metrics_ && metrics_)
@@ -709,23 +614,23 @@ bool PartitionServerCore::serve_cached_duplicate(const ExecCommand& ec) {
   // duplicate attempt get them bounced home.
   const CmdKey key{ec.cmd->cmd_id, ec.attempt};
   if (config_.mode == ExecutionMode::kSSMR) {
-    transfers_.erase(key);
-    ssmr_sent_.erase(key);
+    durable_.borrow.transfers.erase(key);
+    durable_.borrow.ssmr_sent.erase(key);
     return true;
   }
   if (config_.mode == ExecutionMode::kStar) {
     // No transfers ever ship under STAR, so there is nothing to bounce (and
-    // no resolved_ entry to create — star singles have two dests but the
-    // peer is the silently-applying master, not a variable source).
+    // no resolved entry to create — star singles have two dests but the peer
+    // is the silently-applying master, not a variable source).
     return true;
   }
   if (ec.dests.size() > 1 && ec.target == partition_) {
     // Lenders re-grant for a duplicate attempt (they have no reply cache
     // entry for it); drop the orphaned grants with the attempt.
-    lease_grants_.erase(key);
-    auto& sources = resolved_[key];
-    auto tstate = transfers_.find(key);
-    if (tstate != transfers_.end()) {
+    durable_.lease.grants.erase(key);
+    auto& sources = durable_.borrow.resolved[key];
+    auto tstate = durable_.borrow.transfers.find(key);
+    if (tstate != durable_.borrow.transfers.end()) {
       for (auto& [source, envelopes] : tstate->second.received) {
         sources.insert(source);
         trace_cmd(TracePoint::kReturnSent, ec, source.value());
@@ -734,7 +639,7 @@ bool PartitionServerCore::serve_cached_duplicate(const ExecCommand& ec) {
                                                        ec.attempt, partition_,
                                                        envelopes));
       }
-      transfers_.erase(tstate);
+      durable_.borrow.transfers.erase(tstate);
     }
   }
   return true;
@@ -744,20 +649,21 @@ PartitionServerCore::Classification PartitionServerCore::classify(
     const ExecCommand& ec) {
   const CmdKey key{ec.cmd->cmd_id, ec.attempt};
 
-  if (ec.epoch > epoch_) return Classification::kFuture;
+  if (ec.epoch > durable_.exec.epoch) return Classification::kFuture;
 
   if (config_.mode == ExecutionMode::kDynaStar &&
       config_.strict_epoch_validation) {
-    if (ec.epoch < epoch_) return Classification::kStale;
+    if (ec.epoch < durable_.exec.epoch) return Classification::kStale;
   } else if (config_.mode != ExecutionMode::kSSMR) {
     // Claims validation (DS-SMR, or DynaStar in relaxed mode): the sender's
     // believed owners must agree with this partition's map for every vertex
     // it claims here and every vertex we actually own.
     for (std::size_t i = 0; i < ec.cmd->vertices.size(); ++i) {
       const VertexId v = ec.cmd->vertices[i];
-      auto it = map_.find(v);
+      auto it = durable_.exec.map.find(v);
       const bool claimed_mine = ec.owners[i] == partition_;
-      const bool actually_mine = it != map_.end() && it->second == partition_;
+      const bool actually_mine =
+          it != durable_.exec.map.end() && it->second == partition_;
       if (claimed_mine != actually_mine) return Classification::kInvalid;
     }
   }
@@ -765,9 +671,10 @@ PartitionServerCore::Classification PartitionServerCore::classify(
   // A peer may have rejected this command; the target resolves that in
   // execute_target / execute_non_target. For blocking decisions an abort
   // counts as "ready to proceed to cleanup".
-  const auto tstate = transfers_.find(key);
+  const auto& transfers = durable_.borrow.transfers;
+  const auto tstate = transfers.find(key);
   const bool aborted =
-      tstate != transfers_.end() && !tstate->second.aborted.empty();
+      tstate != transfers.end() && !tstate->second.aborted.empty();
 
   if (!objects_available(ec, /*claimed_mine_only=*/true))
     return Classification::kBlocked;
@@ -791,7 +698,7 @@ PartitionServerCore::Classification PartitionServerCore::classify(
     }
     // Target: wait for every other involved partition's transfer.
     std::size_t received =
-        tstate == transfers_.end() ? 0 : tstate->second.received.size();
+        tstate == transfers.end() ? 0 : tstate->second.received.size();
     if (received + 1 < ec.dests.size()) {
       // The sends from peers happen when they reach this command; we may
       // also need to send nothing (we are target) — just wait.
@@ -805,8 +712,8 @@ bool PartitionServerCore::transfers_ready_for_ssmr(const ExecCommand& ec) {
   const CmdKey key{ec.cmd->cmd_id, ec.attempt};
   // S-SMR: every involved partition ships copies to every other one, then
   // each executes the whole command locally. Send once, then wait.
-  if (!ssmr_sent_.contains(key)) {
-    ssmr_sent_.insert(key);
+  if (!durable_.borrow.ssmr_sent.contains(key)) {
+    durable_.borrow.ssmr_sent.insert(key);
     std::vector<ObjectEnvelope> mine;
     for (std::size_t i = 0; i < ec.cmd->objects.size(); ++i) {
       if (ec.owners[i] != partition_) continue;
@@ -830,9 +737,10 @@ bool PartitionServerCore::transfers_ready_for_ssmr(const ExecCommand& ec) {
           std::count(ec.owners.begin(), ec.owners.end(), partition_)));
     }
   }
-  const auto tstate = transfers_.find(key);
+  const auto& transfers = durable_.borrow.transfers;
+  const auto tstate = transfers.find(key);
   const std::size_t received =
-      tstate == transfers_.end() ? 0 : tstate->second.received.size();
+      tstate == transfers.end() ? 0 : tstate->second.received.size();
   return received + 1 >= ec.dests.size();
 }
 
@@ -842,17 +750,19 @@ bool PartitionServerCore::objects_available(const ExecCommand& ec,
   for (std::size_t i = 0; i < ec.cmd->objects.size(); ++i) {
     if (ec.owners[i] != partition_) continue;
     const VertexId v = ec.cmd->vertices[i];
-    auto awaited = awaited_.find(v);
-    if (awaited != awaited_.end()) {
+    auto awaited = durable_.plan.awaited.find(v);
+    if (awaited != durable_.plan.awaited.end()) {
       available = false;
-      if (!config_.eager_plan_transfer && !fetch_requested_.contains(v)) {
-        fetch_requested_.insert(v);
-        send_to_partition(awaited->second, sim::make_message<FetchVertex>(
-                                               epoch_, partition_, v));
+      if (!config_.eager_plan_transfer &&
+          durable_.plan.fetch_requested.insert(v).second) {
+        send_to_partition(awaited->second,
+                          sim::make_message<FetchVertex>(durable_.exec.epoch,
+                                                         partition_, v));
       }
       continue;
     }
-    if (lent_objects_.contains(ec.cmd->objects[i])) available = false;
+    if (durable_.borrow.lent_objects.contains(ec.cmd->objects[i]))
+      available = false;
   }
   return available;
 }
@@ -863,11 +773,12 @@ bool PartitionServerCore::objects_available(const ExecCommand& ec,
 
 void PartitionServerCore::execute_target(const ExecCommand& ec) {
   const CmdKey key{ec.cmd->cmd_id, ec.attempt};
-  auto tstate = transfers_.find(key);
+  auto tstate = durable_.borrow.transfers.find(key);
 
   // Peer rejection: return whatever arrived and tell the client to retry.
-  if (tstate != transfers_.end() && !tstate->second.aborted.empty()) {
-    auto& sources = resolved_[key];
+  if (tstate != durable_.borrow.transfers.end() &&
+      !tstate->second.aborted.empty()) {
+    auto& sources = durable_.borrow.resolved[key];
     for (const auto& [source, envelopes] : tstate->second.received)
       sources.insert(source);
     for (auto& [source, envelopes] : tstate->second.received) {
@@ -876,21 +787,21 @@ void PartitionServerCore::execute_target(const ExecCommand& ec) {
                         sim::make_message<VarReturn>(ec.cmd->cmd_id, ec.attempt,
                                                      partition_, envelopes));
     }
-    transfers_.erase(tstate);
+    durable_.borrow.transfers.erase(tstate);
     send_reply(ec, ReplyStatus::kRetry, nullptr);
     return;
   }
 
   const bool multi = ec.dests.size() > 1;
   if (multi) {
-    auto& sources = resolved_[key];
-    if (tstate != transfers_.end())
+    auto& sources = durable_.borrow.resolved[key];
+    if (tstate != durable_.borrow.transfers.end())
       for (const auto& [source, envelopes] : tstate->second.received)
         sources.insert(source);
   }
   std::size_t borrowed_objects = 0;
 
-  if (multi && tstate != transfers_.end()) {
+  if (multi && tstate != durable_.borrow.transfers.end()) {
     for (const auto& [source, envelopes] : tstate->second.received) {
       insert_envelopes(envelopes);
       borrowed_objects += envelopes.size();
@@ -948,18 +859,18 @@ void PartitionServerCore::execute_target(const ExecCommand& ec) {
       for (std::size_t i = 0; i < ec.cmd->vertices.size(); ++i) {
         const VertexId v = ec.cmd->vertices[i];
         if (!done.insert(v).second) continue;
-        map_[v] = partition_;
+        durable_.exec.map[v] = partition_;
         if (ec.owners[i] != partition_) moves.emplace_back(v, partition_);
       }
       if (!moves.empty()) {
         member_.amcast_as_group(
             group_uid(group_of(partition_), /*purpose=*/2,
-                      ++location_updates_emitted_),
+                      ++durable_.dssmr.location_updates_emitted),
             {kOracleGroup},
             sim::make_message<LocationUpdate>(std::move(moves)));
       }
     }
-    transfers_.erase(key);
+    durable_.borrow.transfers.erase(key);
   }
 
   if (config_.mode == ExecutionMode::kDynaStar) record_hints(*ec.cmd, multi);
@@ -984,7 +895,7 @@ void PartitionServerCore::execute_create(const ExecCommand& ec) {
   }
   store_.put(id, vertex, app_->make_object(*ec.cmd));
   note_vertex_mutation(vertex);
-  map_[vertex] =
+  durable_.exec.map[vertex] =
       config_.mode == ExecutionMode::kStar ? ec.target : partition_;
   remember_reply(ec, ReplyStatus::kOk, nullptr);
   if (!silent) {
@@ -1005,7 +916,7 @@ void PartitionServerCore::execute_delete(const ExecCommand& ec) {
   trace_cmd(TracePoint::kExecuteStart, ec, partition_.value());
   for (ObjectId id : store_.objects_of_vertex(vertex)) store_.take(id);
   note_vertex_mutation(vertex);
-  map_.erase(vertex);
+  durable_.exec.map.erase(vertex);
   remember_reply(ec, ReplyStatus::kOk, nullptr);
   if (!silent) {
     send_reply(ec, ReplyStatus::kOk, nullptr);
@@ -1017,12 +928,13 @@ void PartitionServerCore::execute_non_target(const ExecCommand& ec) {
   const CmdKey key{ec.cmd->cmd_id, ec.attempt};
 
   // If a peer already rejected this command, skip it entirely.
-  auto tstate = transfers_.find(key);
-  if (tstate != transfers_.end() && !tstate->second.aborted.empty()) {
-    transfers_.erase(tstate);
+  auto tstate = durable_.borrow.transfers.find(key);
+  if (tstate != durable_.borrow.transfers.end() &&
+      !tstate->second.aborted.empty()) {
+    durable_.borrow.transfers.erase(tstate);
     return;
   }
-  sent_transfers_.insert(key);
+  durable_.borrow.sent_transfers.insert(key);
 
   // Ship every omega object we own to the target (a move: the objects leave
   // this partition until returned — or forever under DS-SMR).
@@ -1057,21 +969,22 @@ void PartitionServerCore::execute_non_target(const ExecCommand& ec) {
     for (std::size_t i = 0; i < ec.cmd->vertices.size(); ++i) {
       const VertexId v = ec.cmd->vertices[i];
       if (!done.insert(v).second) continue;
-      auto it = map_.find(v);
+      auto it = durable_.exec.map.find(v);
       record.previous_owner.emplace_back(
-          v, it == map_.end() ? kNoPartition : it->second);
-      map_[v] = ec.target;
+          v, it == durable_.exec.map.end() ? kNoPartition : it->second);
+      durable_.exec.map[v] = ec.target;
     }
-    dssmr_moves_.emplace(key, std::move(record));
+    durable_.dssmr.moves.emplace(key, std::move(record));
     trace_cmd(TracePoint::kTransferSent, ec, ec.target.value());
     send_to_partition(ec.target,
                       sim::make_message<VarTransfer>(ec.cmd->cmd_id, ec.attempt,
                                                      partition_, std::move(mine)));
     // A peer replica's transfer may already have driven the target; if its
     // (abort) return beat us here, consume it now.
-    if (auto early = early_returns_.find(key); early != early_returns_.end()) {
+    auto& early_returns = durable_.borrow.early_returns;
+    if (auto early = early_returns.find(key); early != early_returns.end()) {
       auto held = early->second;
-      early_returns_.erase(early);
+      early_returns.erase(early);
       on_var_return(held);
     }
     return;  // permanent move: nothing comes back unless the move aborts
@@ -1079,18 +992,19 @@ void PartitionServerCore::execute_non_target(const ExecCommand& ec) {
 
   // DynaStar: record the lend before sending so a (same-event) return
   // cannot race past the bookkeeping.
-  for (const auto& env : mine) lent_objects_.insert(env.id);
-  for (VertexId v : lend.vertices) lent_vertex_count_[v]++;
-  lends_.emplace(key, std::move(lend));
+  for (const auto& env : mine) durable_.borrow.lent_objects.insert(env.id);
+  for (VertexId v : lend.vertices) durable_.borrow.lent_vertex_count[v]++;
+  durable_.borrow.lends.emplace(key, std::move(lend));
   trace_cmd(TracePoint::kTransferSent, ec, ec.target.value());
   send_to_partition(ec.target,
                     sim::make_message<VarTransfer>(ec.cmd->cmd_id, ec.attempt,
                                                    partition_, std::move(mine)));
   // A peer replica's transfer may already have driven the target; if its
   // return beat us here, consume it now so we don't block on it forever.
-  if (auto early = early_returns_.find(key); early != early_returns_.end()) {
+  auto& early_returns = durable_.borrow.early_returns;
+  if (auto early = early_returns.find(key); early != early_returns.end()) {
     auto held = early->second;
-    early_returns_.erase(early);
+    early_returns.erase(early);
     on_var_return(held);
   }
 }
@@ -1111,9 +1025,10 @@ void PartitionServerCore::grant_lease(const ExecCommand& ec) {
   const CmdKey key{ec.cmd->cmd_id, ec.attempt};
   // A peer already rejected this command: the target will answer kRetry and
   // drop any grants, so don't create a holder record it will never install.
-  auto tstate = transfers_.find(key);
-  if (tstate != transfers_.end() && !tstate->second.aborted.empty()) {
-    transfers_.erase(tstate);
+  auto tstate = durable_.borrow.transfers.find(key);
+  if (tstate != durable_.borrow.transfers.end() &&
+      !tstate->second.aborted.empty()) {
+    durable_.borrow.transfers.erase(tstate);
     return;
   }
   std::vector<LeaseEntry> entries;
@@ -1124,9 +1039,9 @@ void PartitionServerCore::grant_lease(const ExecCommand& ec) {
     const VertexId v = ec.cmd->vertices[i];
     if (!done.insert(v).second) continue;
     std::uint64_t version = 0;
-    if (auto it = lease_versions_.find(v); it != lease_versions_.end())
-      version = it->second;
-    auto& holders = lease_holders_[v];
+    const auto& versions = durable_.lease.versions;
+    if (auto it = versions.find(v); it != versions.end()) version = it->second;
+    auto& holders = volatile_.lease_holders[v];
     if (holders.contains(ec.target)) {
       // The reader already holds a copy no mutation invalidated since it was
       // shipped: a data-less refresh pins it to this slot's version.
@@ -1148,7 +1063,7 @@ void PartitionServerCore::grant_lease(const ExecCommand& ec) {
   trace_cmd(TracePoint::kLeaseGrant, ec, ec.target.value());
   send_to_partition(ec.target, sim::make_message<LeaseGrant>(
                                    ec.cmd->cmd_id, ec.attempt, partition_,
-                                   epoch_, std::move(entries)));
+                                   durable_.exec.epoch, std::move(entries)));
   if (record_metrics_ && metrics_) {
     metrics_->add_counter(metric::kServerLeaseGrants);
     note_objects_exchanged(static_cast<double>(copied));
@@ -1156,8 +1071,9 @@ void PartitionServerCore::grant_lease(const ExecCommand& ec) {
 }
 
 bool PartitionServerCore::lease_grants_complete(const ExecCommand& ec) {
-  const auto it = lease_grants_.find(CmdKey{ec.cmd->cmd_id, ec.attempt});
-  const std::size_t received = it == lease_grants_.end() ? 0 : it->second.size();
+  const auto& grants = durable_.lease.grants;
+  const auto it = grants.find(CmdKey{ec.cmd->cmd_id, ec.attempt});
+  const std::size_t received = it == grants.end() ? 0 : it->second.size();
   return received + 1 >= ec.dests.size();
 }
 
@@ -1166,11 +1082,12 @@ void PartitionServerCore::execute_leased_read(const ExecCommand& ec) {
 
   // Peer rejection (DS-SMR claims mismatch): nothing was borrowed, so there
   // is nothing to bounce — drop the grants and tell the client to retry.
-  auto tstate = transfers_.find(key);
-  if (tstate != transfers_.end() && !tstate->second.aborted.empty()) {
-    transfers_.erase(tstate);
-    lease_grants_.erase(key);
-    resolved_[key];
+  auto tstate = durable_.borrow.transfers.find(key);
+  if (tstate != durable_.borrow.transfers.end() &&
+      !tstate->second.aborted.empty()) {
+    durable_.borrow.transfers.erase(tstate);
+    durable_.lease.grants.erase(key);
+    durable_.borrow.resolved[key];
     send_reply(ec, ReplyStatus::kRetry, nullptr);
     return;
   }
@@ -1181,14 +1098,15 @@ void PartitionServerCore::execute_leased_read(const ExecCommand& ec) {
   bool valid = true;
   std::uint64_t stale_vertices = 0;
   std::map<PartitionId, std::vector<VertexId>> stale;
-  auto gstate = lease_grants_.find(key);
-  if (gstate != lease_grants_.end()) {
+  auto gstate = durable_.lease.grants.find(key);
+  if (gstate != durable_.lease.grants.end()) {
     for (const auto& [from, grant] : gstate->second) {
       for (const LeaseEntry& entry : grant->entries) {
-        const auto lease = leases_.find(entry.vertex);
-        const bool ok = grant->epoch == epoch_ && lease != leases_.end() &&
+        const auto lease = volatile_.leases.find(entry.vertex);
+        const bool ok = grant->epoch == durable_.exec.epoch &&
+                        lease != volatile_.leases.end() &&
                         lease->second.lender == from &&
-                        lease->second.epoch == epoch_ &&
+                        lease->second.epoch == durable_.exec.epoch &&
                         lease->second.version == entry.version;
         if (!ok) {
           valid = false;
@@ -1205,9 +1123,9 @@ void PartitionServerCore::execute_leased_read(const ExecCommand& ec) {
     // then served fresh full grants and cannot loop on the same mismatch.
     for (auto& [lender, vertices] : stale) {
       for (VertexId v : vertices) {
-        const auto lease = leases_.find(v);
-        if (lease != leases_.end() && lease->second.lender == lender)
-          leases_.erase(lease);
+        const auto lease = volatile_.leases.find(v);
+        if (lease != volatile_.leases.end() && lease->second.lender == lender)
+          volatile_.leases.erase(lease);
         if (trace_)
           trace_->record(TracePoint::kLeaseRevoke, env_.now(), v.value(),
                          ec.attempt, env_.self().value(), lender.value());
@@ -1218,8 +1136,8 @@ void PartitionServerCore::execute_leased_read(const ExecCommand& ec) {
       send_to_partition(lender, sim::make_message<LeaseRevoke>(
                                     partition_, std::move(vertices)));
     }
-    lease_grants_.erase(key);
-    resolved_[key];
+    durable_.lease.grants.erase(key);
+    durable_.borrow.resolved[key];
     trace_cmd(TracePoint::kLeaseFallback, ec, stale_vertices);
     if (record_metrics_ && metrics_) {
       metrics_->add_counter(metric::kServerLeaseFallbacks);
@@ -1238,8 +1156,9 @@ void PartitionServerCore::execute_leased_read(const ExecCommand& ec) {
     if (ec.owners[i] == partition_) continue;
     const VertexId v = ec.cmd->vertices[i];
     if (!done.insert(v).second) continue;
-    const auto lease = leases_.find(v);
-    if (lease == leases_.end()) continue;  // validated above; defensive
+    const auto lease = volatile_.leases.find(v);
+    // Validated above; defensive.
+    if (lease == volatile_.leases.end()) continue;
     for (const ObjectEnvelope& env : lease->second.objects) {
       if (!env.object) continue;
       store_.put(env.id, env.vertex, ObjectPtr(env.object->clone()));
@@ -1256,8 +1175,9 @@ void PartitionServerCore::execute_leased_read(const ExecCommand& ec) {
   send_reply(ec, ReplyStatus::kOk, std::move(reply_payload));
   for (ObjectId id : spliced) store_.take(id);
 
-  lease_grants_.erase(key);
-  resolved_[key];  // late grants from a lender's other replica are dropped
+  durable_.lease.grants.erase(key);
+  // Late grants from a lender's other replica are dropped.
+  durable_.borrow.resolved[key];
   trace_cmd(TracePoint::kLeaseRead, ec, spliced.size());
   if (record_metrics_ && metrics_)
     metrics_->add_counter(metric::kServerLeaseReads);
@@ -1268,9 +1188,9 @@ void PartitionServerCore::execute_leased_read(const ExecCommand& ec) {
 
 void PartitionServerCore::note_vertex_mutation(VertexId vertex) {
   if (!config_.read_leases || !mode_supports_leases(config_.mode)) return;
-  ++lease_versions_[vertex];
-  auto holders = lease_holders_.find(vertex);
-  if (holders == lease_holders_.end()) return;
+  ++durable_.lease.versions[vertex];
+  auto holders = volatile_.lease_holders.find(vertex);
+  if (holders == volatile_.lease_holders.end()) return;
   for (PartitionId holder : holders->second) {
     if (trace_)
       trace_->record(TracePoint::kLeaseRevoke, env_.now(), vertex.value(), 0,
@@ -1280,14 +1200,15 @@ void PartitionServerCore::note_vertex_mutation(VertexId vertex) {
     if (record_metrics_ && metrics_)
       metrics_->add_counter(metric::kServerLeaseRevokes);
   }
-  lease_holders_.erase(holders);
+  volatile_.lease_holders.erase(holders);
 }
 
 void PartitionServerCore::on_lease_grant(
     const sim::Ref<const LeaseGrant>& msg) {
   const CmdKey key{msg->cmd_id, msg->attempt};
-  if (resolved_.contains(key)) return;  // late duplicate; already answered
-  auto& grants = lease_grants_[key];
+  // Late duplicate; already answered.
+  if (durable_.borrow.resolved.contains(key)) return;
+  auto& grants = durable_.lease.grants[key];
   if (!grants.emplace(msg->from, msg).second) return;  // other replica's copy
   // Install the winning grant's full entries. Recording and installing must
   // be one atomic step: after a partial-group recovery a lender's replicas
@@ -1296,11 +1217,11 @@ void PartitionServerCore::on_lease_grant(
   // against another replica's install could bounce the retry path forever.
   for (const LeaseEntry& entry : msg->entries) {
     if (entry.objects.empty()) continue;
-    leases_[entry.vertex] =
+    volatile_.leases[entry.vertex] =
         InstalledLease{msg->from, msg->epoch, entry.version, entry.objects};
   }
-  if (blocked_) {
-    blocked_ = false;
+  if (durable_.exec.blocked) {
+    durable_.exec.blocked = false;
     pump();
   }
 }
@@ -1308,15 +1229,15 @@ void PartitionServerCore::on_lease_grant(
 void PartitionServerCore::on_lease_revoke(const LeaseRevoke& msg) {
   for (VertexId v : msg.vertices) {
     // Reader role: drop our installed copy if it came from the sender.
-    const auto lease = leases_.find(v);
-    if (lease != leases_.end() && lease->second.lender == msg.from)
-      leases_.erase(lease);
+    const auto lease = volatile_.leases.find(v);
+    if (lease != volatile_.leases.end() && lease->second.lender == msg.from)
+      volatile_.leases.erase(lease);
     // Lender role: the sender no longer holds a copy of our vertex, so the
     // next grant to it must ship full data.
-    const auto holders = lease_holders_.find(v);
-    if (holders != lease_holders_.end()) {
+    const auto holders = volatile_.lease_holders.find(v);
+    if (holders != volatile_.lease_holders.end()) {
       holders->second.erase(msg.from);
-      if (holders->second.empty()) lease_holders_.erase(holders);
+      if (holders->second.empty()) volatile_.lease_holders.erase(holders);
     }
   }
 }
@@ -1325,8 +1246,8 @@ void PartitionServerCore::execute_ssmr(const ExecCommand& ec) {
   const CmdKey key{ec.cmd->cmd_id, ec.attempt};
   const bool multi = ec.dests.size() > 1;
   if (multi) {
-    auto tstate = transfers_.find(key);
-    if (tstate != transfers_.end()) {
+    auto tstate = durable_.borrow.transfers.find(key);
+    if (tstate != durable_.borrow.transfers.end()) {
       for (const auto& [source, envelopes] : tstate->second.received)
         insert_envelopes(envelopes);
     }
@@ -1348,8 +1269,8 @@ void PartitionServerCore::execute_ssmr(const ExecCommand& ec) {
       if (!done.insert(v).second) continue;
       for (ObjectId id : store_.objects_of_vertex(v)) store_.take(id);
     }
-    transfers_.erase(key);
-    ssmr_sent_.erase(key);
+    durable_.borrow.transfers.erase(key);
+    durable_.borrow.ssmr_sent.erase(key);
   }
   note_command_metrics(ec, multi);
 }
@@ -1372,15 +1293,15 @@ void PartitionServerCore::maybe_emit_star_marker() {
   // runs its own timer); receivers dedupe by epoch, first delivered wins —
   // exactly the PlanMsg discipline.
   star_sender_.retransmit_unacked();
-  if (star_deferred_.empty()) return;
-  if (star_marker_inflight_ > star_epoch_) return;
-  star_marker_inflight_ = star_epoch_ + 1;
+  if (durable_.star.deferred.empty()) return;
+  if (volatile_.star_marker_inflight > durable_.star.epoch) return;
+  volatile_.star_marker_inflight = durable_.star.epoch + 1;
   std::vector<GroupId> groups;
   groups.reserve(config_.num_partitions);
   for (std::uint32_t p = 0; p < config_.num_partitions; ++p)
     groups.push_back(group_of(PartitionId{p}));
   star_sender_.amcast(std::move(groups),
-                      sim::make_message<StarEpochMsg>(star_epoch_ + 1));
+                      sim::make_message<StarEpochMsg>(durable_.star.epoch + 1));
 }
 
 void PartitionServerCore::execute_star_single(const ExecCommand& ec) {
@@ -1400,9 +1321,9 @@ void PartitionServerCore::execute_star_single(const ExecCommand& ec) {
 }
 
 void PartitionServerCore::star_execute_batch(Epoch epoch) {
-  star_epoch_ = epoch;
-  auto deferred = std::move(star_deferred_);
-  star_deferred_.clear();
+  durable_.star.epoch = epoch;
+  auto deferred = std::move(durable_.star.deferred);
+  durable_.star.deferred.clear();
   // Vertices owned by other partitions that this batch read or wrote; their
   // post-batch state ships to the owners below.
   std::map<PartitionId, std::set<VertexId>> touched;
@@ -1449,11 +1370,12 @@ void PartitionServerCore::star_execute_batch(Epoch epoch) {
     // Re-validate the sender's ownership claims against the master's map at
     // the switch position — a vertex deleted (or re-homed by a create race)
     // since the addressing was computed makes the command stale. Execution
-    // never touches map_, so verdicts are chunk-order independent.
+    // never touches the map, so verdicts are chunk-order independent.
     bool valid = true;
     for (std::size_t i = 0; i < ec->cmd->vertices.size(); ++i) {
-      auto it = map_.find(ec->cmd->vertices[i]);
-      const PartitionId actual = it == map_.end() ? kNoPartition : it->second;
+      const auto& map = durable_.exec.map;
+      auto it = map.find(ec->cmd->vertices[i]);
+      const PartitionId actual = it == map.end() ? kNoPartition : it->second;
       if (actual != ec->owners[i]) {
         valid = false;
         break;
@@ -1522,19 +1444,21 @@ void PartitionServerCore::apply_star_update(const StarEpochUpdate& update) {
 
 void PartitionServerCore::on_star_update(
     const sim::Ref<const StarEpochUpdate>& msg) {
-  if (msg->epoch <= star_epoch_) return;  // duplicate of an applied epoch
-  star_updates_.emplace(msg->epoch, msg);  // first sender replica wins
-  if (blocked_) {
-    blocked_ = false;
+  // Duplicate of an applied epoch.
+  if (msg->epoch <= durable_.star.epoch) return;
+  durable_.star.updates.emplace(msg->epoch, msg);  // first sender wins
+  if (durable_.exec.blocked) {
+    durable_.exec.blocked = false;
     pump();
   }
 }
 
 void PartitionServerCore::reject(const ExecCommand& ec, bool notify_peers) {
   if (ec.target == partition_ && config_.mode != ExecutionMode::kStar) {
-    auto& sources = resolved_[CmdKey{ec.cmd->cmd_id, ec.attempt}];
-    auto tstate = transfers_.find(CmdKey{ec.cmd->cmd_id, ec.attempt});
-    if (tstate != transfers_.end())
+    const CmdKey key{ec.cmd->cmd_id, ec.attempt};
+    auto& sources = durable_.borrow.resolved[key];
+    auto tstate = durable_.borrow.transfers.find(key);
+    if (tstate != durable_.borrow.transfers.end())
       for (const auto& [source, envelopes] : tstate->second.received)
         sources.insert(source);
   }
@@ -1542,7 +1466,7 @@ void PartitionServerCore::reject(const ExecCommand& ec, bool notify_peers) {
   if (record_metrics_ && metrics_)
     metrics_->series(metric::kServerRetries).add(env_.now(), 1.0);
   const CmdKey key{ec.cmd->cmd_id, ec.attempt};
-  lease_grants_.erase(key);
+  durable_.lease.grants.erase(key);
   if (notify_peers) {
     auto notice =
         sim::make_message<AbortNotice>(ec.cmd->cmd_id, ec.attempt, partition_);
@@ -1551,15 +1475,15 @@ void PartitionServerCore::reject(const ExecCommand& ec, bool notify_peers) {
     }
   }
   // Return anything that already arrived for this command.
-  auto tstate = transfers_.find(key);
-  if (tstate != transfers_.end()) {
+  auto tstate = durable_.borrow.transfers.find(key);
+  if (tstate != durable_.borrow.transfers.end()) {
     for (auto& [source, envelopes] : tstate->second.received) {
       trace_cmd(TracePoint::kReturnSent, ec, source.value());
       send_to_partition(source,
                         sim::make_message<VarReturn>(ec.cmd->cmd_id, ec.attempt,
                                                      partition_, envelopes));
     }
-    transfers_.erase(tstate);
+    durable_.borrow.transfers.erase(tstate);
   }
 }
 
@@ -1568,39 +1492,41 @@ void PartitionServerCore::reject(const ExecCommand& ec, bool notify_peers) {
 // ---------------------------------------------------------------------------
 
 void PartitionServerCore::apply_plan(const PlanMsg& plan) {
-  if (plan.epoch <= epoch_) return;  // duplicate from the other oracle replica
+  // Duplicate from the other oracle replica.
+  if (plan.epoch <= durable_.exec.epoch) return;
 
   std::size_t moved_out = 0, moved_in = 0;
   for (const VertexMove& move : *plan.moves) {
     if (move.from == move.to) continue;
     if (move.from == partition_) {
-      obligations_[move.vertex] = move.to;
+      durable_.plan.obligations[move.vertex] = move.to;
       ++moved_out;
     } else if (move.to == partition_) {
-      awaited_[move.vertex] = move.from;
+      durable_.plan.awaited[move.vertex] = move.from;
       ++moved_in;
     }
   }
   // Switch the map and epoch before sending handoffs so forwarded vertices
   // carry the new view.
   for (const auto& [vertex, new_owner] : *plan.assignment)
-    map_[vertex] = new_owner;
-  epoch_ = plan.epoch;
-  fetch_requested_.clear();
+    durable_.exec.map[vertex] = new_owner;
+  durable_.exec.epoch = plan.epoch;
+  durable_.plan.fetch_requested.clear();
   // A plan epoch invalidates every lease wholesale: readers' installed
   // copies carry the old epoch (validation would reject them anyway), our
   // holder records are dropped so post-plan grants ship full data, and the
   // per-vertex versions may reset — validation is epoch AND version, and
   // the epoch just changed.
-  leases_.clear();
-  lease_versions_.clear();
-  lease_holders_.clear();
+  volatile_.leases.clear();
+  durable_.lease.versions.clear();
+  volatile_.lease_holders.clear();
 
   if (config_.eager_plan_transfer) {
     // Algorithm 3 Task 3: ship everything now (deferred when lent out).
     std::vector<VertexId> to_send;
-    to_send.reserve(obligations_.size());
-    for (const auto& [vertex, owner] : obligations_) to_send.push_back(vertex);
+    to_send.reserve(durable_.plan.obligations.size());
+    for (const auto& [vertex, owner] : durable_.plan.obligations)
+      to_send.push_back(vertex);
     for (VertexId v : to_send) send_handoff_if_possible(v);
   }
 
@@ -1616,26 +1542,29 @@ void PartitionServerCore::apply_plan(const PlanMsg& plan) {
   }
 
   // Process handoffs that raced ahead of the plan.
-  auto buffered = std::move(handoff_buffer_);
-  handoff_buffer_.clear();
+  auto buffered = std::move(durable_.plan.handoff_buffer);
+  durable_.plan.handoff_buffer.clear();
   for (const auto& msg : buffered) on_handoff(*msg);
 
   // Re-enqueue the commands that were waiting for this epoch, ahead of
   // everything delivered after the plan.
-  for (auto it = future_.rbegin(); it != future_.rend(); ++it)
-    queue_.push_front(QueueItem{*it, nullptr, nullptr});
-  future_.clear();
+  auto& future = durable_.exec.future;
+  for (auto it = future.rbegin(); it != future.rend(); ++it)
+    durable_.exec.queue.push_front(QueueItem{*it, nullptr, nullptr});
+  future.clear();
 }
 
 void PartitionServerCore::send_handoff_if_possible(VertexId vertex) {
-  auto it = obligations_.find(vertex);
-  if (it == obligations_.end()) return;
-  auto lent = lent_vertex_count_.find(vertex);
-  if (lent != lent_vertex_count_.end() && lent->second > 0) {
-    fetch_wanted_.insert(vertex);  // send as soon as the lend returns
+  auto it = durable_.plan.obligations.find(vertex);
+  if (it == durable_.plan.obligations.end()) return;
+  auto lent = durable_.borrow.lent_vertex_count.find(vertex);
+  if (lent != durable_.borrow.lent_vertex_count.end() && lent->second > 0) {
+    // Send as soon as the lend returns.
+    durable_.plan.fetch_wanted.insert(vertex);
     return;
   }
-  if (!config_.eager_plan_transfer && !fetch_wanted_.contains(vertex)) {
+  if (!config_.eager_plan_transfer &&
+      !durable_.plan.fetch_wanted.contains(vertex)) {
     // On-demand mode: only ship once the new owner asked.
     return;
   }
@@ -1649,10 +1578,11 @@ void PartitionServerCore::send_handoff_if_possible(VertexId vertex) {
         .add(env_.now(), static_cast<double>(envelopes.size()));
   }
   send_handoff(it->second,
-               sim::make_message<ObjectHandoff>(epoch_, partition_, vertex,
+               sim::make_message<ObjectHandoff>(durable_.exec.epoch,
+                                                partition_, vertex,
                                                 std::move(envelopes)));
-  fetch_wanted_.erase(vertex);
-  obligations_.erase(it);
+  durable_.plan.fetch_wanted.erase(vertex);
+  durable_.plan.obligations.erase(it);
 }
 
 void PartitionServerCore::send_handoff(PartitionId to,
@@ -1680,40 +1610,45 @@ void PartitionServerCore::on_handoff_chunk(
   // Chunks of an already-spliced (or already-superseded) handoff: the
   // dedup set on the full-handoff path covers completed assemblies too,
   // since completion inserts into it via on_handoff.
-  if (handoffs_seen_.contains({msg->epoch, msg->vertex.value()})) return;
-  auto& asmbl = handoff_assembly_[{msg->epoch, msg->vertex.value()}];
+  const std::pair<Epoch, std::uint64_t> id{msg->epoch, msg->vertex.value()};
+  if (durable_.plan.handoffs_seen.contains(id)) return;
+  auto& asmbl = durable_.plan.handoff_assembly[id];
   asmbl.total_chunks = msg->total_chunks;
   if (!asmbl.handoff) asmbl.handoff = msg->handoff;
   if (!asmbl.have.insert(msg->index).second) return;  // duplicate frame
   if (asmbl.have.size() < asmbl.total_chunks) return;
   sim::MessagePtr full = std::move(asmbl.handoff);
-  handoff_assembly_.erase({msg->epoch, msg->vertex.value()});
+  durable_.plan.handoff_assembly.erase({msg->epoch, msg->vertex.value()});
   if (auto* h = dynamic_cast<const ObjectHandoff*>(full.get())) on_handoff(*h);
 }
 
 void PartitionServerCore::on_handoff(const ObjectHandoff& msg) {
-  if (msg.epoch > epoch_) {
-    handoff_buffer_.push_back(sim::make_message<ObjectHandoff>(msg));
+  if (msg.epoch > durable_.exec.epoch) {
+    durable_.plan.handoff_buffer.push_back(
+        sim::make_message<ObjectHandoff>(msg));
     return;
   }
-  if (!handoffs_seen_.insert({msg.epoch, msg.vertex.value()}).second) return;
+  if (!durable_.plan.handoffs_seen.insert({msg.epoch, msg.vertex.value()})
+           .second)
+    return;
   insert_envelopes(msg.objects);
-  awaited_.erase(msg.vertex);
-  fetch_requested_.erase(msg.vertex);
+  durable_.plan.awaited.erase(msg.vertex);
+  durable_.plan.fetch_requested.erase(msg.vertex);
   // The vertex may already be obliged onward (it moved again while in
   // flight); forward immediately.
-  if (obligations_.contains(msg.vertex)) {
-    if (!config_.eager_plan_transfer) fetch_wanted_.insert(msg.vertex);
+  if (durable_.plan.obligations.contains(msg.vertex)) {
+    if (!config_.eager_plan_transfer)
+      durable_.plan.fetch_wanted.insert(msg.vertex);
     send_handoff_if_possible(msg.vertex);
   }
-  if (!blocked_) return;
-  blocked_ = false;
+  if (!durable_.exec.blocked) return;
+  durable_.exec.blocked = false;
   pump();
 }
 
 void PartitionServerCore::on_fetch(const FetchVertex& msg) {
-  if (!obligations_.contains(msg.vertex)) return;  // already shipped
-  fetch_wanted_.insert(msg.vertex);
+  if (!durable_.plan.obligations.contains(msg.vertex)) return;  // shipped
+  durable_.plan.fetch_wanted.insert(msg.vertex);
   send_handoff_if_possible(msg.vertex);
 }
 
@@ -1728,7 +1663,8 @@ void PartitionServerCore::on_var_transfer(const VarTransfer& msg) {
   // immediately or the source would wait (or lose its objects) forever.
   // Duplicates from sources whose transfer was already consumed are
   // dropped instead.
-  if (auto res = resolved_.find(key); res != resolved_.end()) {
+  if (auto res = durable_.borrow.resolved.find(key);
+      res != durable_.borrow.resolved.end()) {
     if (res->second.insert(msg.from).second) {
       if (trace_)
         trace_->record(TracePoint::kReturnSent, env_.now(), msg.cmd_id,
@@ -1739,15 +1675,15 @@ void PartitionServerCore::on_var_transfer(const VarTransfer& msg) {
     }
     return;
   }
-  auto& state = transfers_[key];
+  auto& state = durable_.borrow.transfers[key];
   auto [it, inserted] = state.received.emplace(msg.from, msg.objects);
   (void)it;
   if (!inserted) return;  // duplicate from the source's other replica
   if (trace_)
     trace_->record(TracePoint::kTransferReceived, env_.now(), msg.cmd_id,
                    msg.attempt, env_.self().value(), msg.from.value());
-  if (blocked_) {
-    blocked_ = false;
+  if (durable_.exec.blocked) {
+    durable_.exec.blocked = false;
     pump();
   }
 }
@@ -1756,17 +1692,19 @@ void PartitionServerCore::on_var_return(
     const sim::Ref<const VarReturn>& msg_ptr) {
   const VarReturn& msg = *msg_ptr;
   const CmdKey key{msg.cmd_id, msg.attempt};
-  if (returns_seen_.contains(key)) return;  // other replica's copy
+  // The other source replica's copy.
+  if (durable_.borrow.returns_seen.contains(key)) return;
 
   if (config_.mode == ExecutionMode::kDSSMR) {
     // A return only happens when the move aborted: restore objects and map.
-    auto move = dssmr_moves_.find(key);
-    if (move == dssmr_moves_.end()) {
-      early_returns_[key] = msg_ptr;  // outran our own lend; hold it
+    auto move = durable_.dssmr.moves.find(key);
+    if (move == durable_.dssmr.moves.end()) {
+      // Outran our own lend; hold it.
+      durable_.borrow.early_returns[key] = msg_ptr;
       return;
     }
-    returns_seen_.insert(key);
-    early_returns_.erase(key);
+    durable_.borrow.returns_seen.insert(key);
+    durable_.borrow.early_returns.erase(key);
     if (trace_)
       trace_->record(TracePoint::kReturnReceived, env_.now(), msg.cmd_id,
                      msg.attempt, env_.self().value(), msg.from.value());
@@ -1774,54 +1712,56 @@ void PartitionServerCore::on_var_return(
     for (const auto& [vertex, previous] : move->second.previous_owner) {
       note_vertex_mutation(vertex);  // rolled back: contents changed hands
       if (previous == kNoPartition)
-        map_.erase(vertex);
+        durable_.exec.map.erase(vertex);
       else
-        map_[vertex] = previous;
+        durable_.exec.map[vertex] = previous;
     }
-    dssmr_moves_.erase(move);
-    if (blocked_) {
-      blocked_ = false;
+    durable_.dssmr.moves.erase(move);
+    if (durable_.exec.blocked) {
+      durable_.exec.blocked = false;
       pump();
     }
     return;
   }
 
-  auto it = lends_.find(key);
-  if (it == lends_.end()) {
-    early_returns_[key] = msg_ptr;  // outran our own lend; hold it
+  auto it = durable_.borrow.lends.find(key);
+  if (it == durable_.borrow.lends.end()) {
+    // Outran our own lend; hold it.
+    durable_.borrow.early_returns[key] = msg_ptr;
     return;
   }
-  returns_seen_.insert(key);
-  early_returns_.erase(key);
+  durable_.borrow.returns_seen.insert(key);
+  durable_.borrow.early_returns.erase(key);
   if (trace_)
     trace_->record(TracePoint::kReturnReceived, env_.now(), msg.cmd_id,
                    msg.attempt, env_.self().value(), msg.from.value());
   insert_envelopes(msg.objects);
   for (VertexId v : it->second.vertices) {
-    auto cnt = lent_vertex_count_.find(v);
-    if (cnt != lent_vertex_count_.end() && --cnt->second == 0)
-      lent_vertex_count_.erase(cnt);
+    auto cnt = durable_.borrow.lent_vertex_count.find(v);
+    if (cnt != durable_.borrow.lent_vertex_count.end() && --cnt->second == 0)
+      durable_.borrow.lent_vertex_count.erase(cnt);
   }
   // Objects are home again.
-  for (const auto& env : msg.objects) lent_objects_.erase(env.id);
+  for (const auto& env : msg.objects)
+    durable_.borrow.lent_objects.erase(env.id);
   // Any ids lent but not present in the return (deleted by the execution)
   // must still be released.
   std::vector<VertexId> vertices = it->second.vertices;
-  lends_.erase(it);
+  durable_.borrow.lends.erase(it);
   for (VertexId v : vertices) {
-    if (obligations_.contains(v)) send_handoff_if_possible(v);
+    if (durable_.plan.obligations.contains(v)) send_handoff_if_possible(v);
   }
-  if (blocked_) {
-    blocked_ = false;
+  if (durable_.exec.blocked) {
+    durable_.exec.blocked = false;
     pump();
   }
 }
 
 void PartitionServerCore::on_abort(const AbortNotice& msg) {
-  auto& state = transfers_[CmdKey{msg.cmd_id, msg.attempt}];
+  auto& state = durable_.borrow.transfers[CmdKey{msg.cmd_id, msg.attempt}];
   if (!state.aborted.insert(msg.from).second) return;
-  if (blocked_) {
-    blocked_ = false;
+  if (durable_.exec.blocked) {
+    durable_.exec.blocked = false;
     pump();
   }
 }
@@ -1858,35 +1798,37 @@ void PartitionServerCore::record_hints(const Command& cmd,
   for (VertexId v : cmd.vertices) unique.push_back(v.value());
   std::sort(unique.begin(), unique.end());
   unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
-  for (std::uint64_t v : unique) hint_vertices_[v] += 1;
+  for (std::uint64_t v : unique) durable_.hints.vertices[v] += 1;
   if (unique.size() <= 8) {
     for (std::size_t i = 0; i < unique.size(); ++i)
       for (std::size_t j = i + 1; j < unique.size(); ++j)
-        hint_edges_[{unique[i], unique[j]}] += 1;
+        durable_.hints.edges[{unique[i], unique[j]}] += 1;
   } else {
     const std::uint64_t hub = cmd.vertices.front().value();
     for (std::uint64_t v : unique) {
       if (v == hub) continue;
       auto key = std::minmax(hub, v);
-      hint_edges_[{key.first, key.second}] += 1;
+      durable_.hints.edges[{key.first, key.second}] += 1;
     }
   }
-  if (++commands_since_hint_ >= config_.hint_batch_commands) maybe_emit_hints();
+  if (++durable_.hints.commands_since >= config_.hint_batch_commands)
+    maybe_emit_hints();
 }
 
 void PartitionServerCore::maybe_emit_hints() {
-  commands_since_hint_ = 0;
-  if (hint_vertices_.empty()) return;
+  durable_.hints.commands_since = 0;
+  if (durable_.hints.vertices.empty()) return;
   std::vector<std::pair<std::uint64_t, std::int64_t>> vs(
-      hint_vertices_.begin(), hint_vertices_.end());
+      durable_.hints.vertices.begin(), durable_.hints.vertices.end());
   std::vector<std::tuple<std::uint64_t, std::uint64_t, std::int64_t>> es;
-  es.reserve(hint_edges_.size());
-  for (const auto& [edge, w] : hint_edges_)
+  es.reserve(durable_.hints.edges.size());
+  for (const auto& [edge, w] : durable_.hints.edges)
     es.emplace_back(edge.first, edge.second, w);
-  hint_vertices_.clear();
-  hint_edges_.clear();
+  durable_.hints.vertices.clear();
+  durable_.hints.edges.clear();
   member_.amcast_as_group(
-      group_uid(group_of(partition_), /*purpose=*/1, ++hint_emissions_),
+      group_uid(group_of(partition_), /*purpose=*/1,
+                ++durable_.hints.emissions),
       {kOracleGroup},
       sim::make_message<HintReport>(partition_, std::move(vs), std::move(es)));
 }

@@ -43,11 +43,11 @@ constexpr GroupId kOracleGroup{0};
 
 class PartitionServerCore {
  public:
-  /// A full copy of the replica's volatile state at a slot boundary: the
-  /// multicast + Paxos position, retained reliable sends, object store
-  /// (deep-copied), borrow/lend bookkeeping, and the at-most-once reply
-  /// cache. Immutable once captured; shared between the node's durable
-  /// checkpoint slot and in-flight snapshot transfers.
+  /// A full copy of the replica's durable state at a slot boundary: the
+  /// multicast + Paxos position, retained reliable sends, the Durable
+  /// bookkeeping and the object store (deep-copied). Immutable once
+  /// captured; shared between the node's durable checkpoint slot and
+  /// in-flight snapshot transfers.
   struct Snapshot;
   using SnapshotPtr = std::shared_ptr<const Snapshot>;
 
@@ -59,19 +59,23 @@ class PartitionServerCore {
 
   void start();
 
-  /// Receives the snapshot captured at each checkpoint boundary; the owning
-  /// node stores it as the replica's durable checkpoint.
-  void set_checkpoint_sink(std::function<void(SnapshotPtr)> sink) {
-    checkpoint_sink_ = std::move(sink);
-  }
-
-  /// Captures the complete volatile state (deep-copying mutable objects).
+  /// Captures the durable state (deep-copying mutable objects).
   [[nodiscard]] SnapshotPtr capture_snapshot() const;
 
-  /// Replaces all volatile state with a snapshot's contents. Used both when
-  /// a recovering node restores its durable checkpoint and when a live
-  /// replica installs a peer snapshot.
+  /// Replaces the durable state with a snapshot's contents and resets the
+  /// volatile state. Used both when a recovering node restores its durable
+  /// checkpoint and when a live replica installs a peer snapshot.
   void restore_snapshot(const Snapshot& snapshot);
+
+  // Snapshot hooks, driven by the hosting ReplicaNode (core/nodes.h).
+  /// Applies the pending executor batch, then captures: the snapshot a peer
+  /// installs must sit at a state the log reproduces.
+  [[nodiscard]] SnapshotPtr take_snapshot();
+  /// At a checkpoint boundary: take_snapshot() plus telling peers which of
+  /// their retained sends the new durable checkpoint covers.
+  [[nodiscard]] SnapshotPtr on_checkpoint_boundary();
+  /// restore_snapshot() of a peer's snapshot, counted and traced.
+  void install_snapshot(const Snapshot& snapshot);
 
   /// Rejoins the group after restore_snapshot() on a fresh incarnation:
   /// re-arms timers and proactively pulls the missing log suffix.
@@ -85,10 +89,12 @@ class PartitionServerCore {
   void preload_assignment(AssignmentPtr assignment, Epoch epoch);
 
   [[nodiscard]] PartitionId partition() const { return partition_; }
-  [[nodiscard]] Epoch epoch() const { return epoch_; }
+  [[nodiscard]] Epoch epoch() const { return durable_.exec.epoch; }
   [[nodiscard]] const ObjectStore& store() const { return store_; }
   multicast::MemberCore& member() { return member_; }
-  [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
+  [[nodiscard]] std::size_t queue_depth() const {
+    return durable_.exec.queue.size();
+  }
 
  private:
   /// Dedupe key for per-command coordination: (cmd_id, attempt).
@@ -129,9 +135,9 @@ class PartitionServerCore {
   void apply_plan(const PlanMsg& plan);
 
   // Intra-partition parallel execution (config_.exec_lanes > 1). Ready
-  // single-destination accesses accumulate in exec_pending_ and execute as
-  // one conflict-graph-scheduled batch; everything that must observe or
-  // mutate state in slot order flushes the batch first.
+  // single-destination accesses accumulate in volatile_.exec_pending and
+  // execute as one conflict-graph-scheduled batch; everything that must
+  // observe or mutate state in slot order flushes the batch first.
   [[nodiscard]] bool exec_batchable(const ExecCommand& ec) const;
   void exec_enqueue(const ExecCommandPtr& ec);
   /// Schedules and executes one batch (conflict graph -> lanes), charging
@@ -202,7 +208,6 @@ class PartitionServerCore {
   void trace_cmd(TracePoint point, const ExecCommand& ec,
                  std::uint64_t detail);
   [[nodiscard]] bool is_primary_replica() const;
-  void on_checkpoint_boundary();
   [[nodiscard]] std::vector<ProcessId> reliable_peers() const;
 
   sim::Env& env_;
@@ -213,11 +218,6 @@ class PartitionServerCore {
   MetricsRegistry* metrics_;
   bool record_metrics_;
   TraceCollector* trace_;
-  std::function<void(SnapshotPtr)> checkpoint_sink_;
-  /// The snapshot captured at the last checkpoint boundary — what chunked
-  /// state transfers serve. All replicas checkpoint at identical slots, so
-  /// this is interchangeable across the group for a given manifest slot.
-  SnapshotPtr stable_snapshot_;
   /// Labels identifying this replica in per-node metrics.
   std::string partition_label_;
   std::string replica_label_;
@@ -227,6 +227,13 @@ class PartitionServerCore {
   /// messages; a lost VarTransfer/VarReturn/ObjectHandoff would otherwise
   /// block a partition's queue head forever.
   sim::ReliableLink reliable_;
+  /// STAR epoch-switch markers are emitted by master replicas via this
+  /// per-replica McastClient (timer emission is replica-local, like the
+  /// oracle's plan_sender_) and deduplicated by epoch at every receiver, so
+  /// the first delivered marker defines each group's switch position.
+  multicast::McastClient star_sender_;
+  /// Deep-copied into and out of every snapshot (see Snapshot::store).
+  ObjectStore store_;
 
   // At-most-once execution: the latest authoritative (kOk/kNok) reply per
   // client. One entry per client — the closed-loop client has at most one
@@ -237,195 +244,152 @@ class PartitionServerCore {
     ReplyStatus status = ReplyStatus::kOk;
     sim::MessagePtr payload;
   };
-  std::unordered_map<std::uint64_t, CachedReply> reply_cache_;
-
-  ObjectStore store_;
-  Assignment map_;
-  Epoch epoch_ = 0;
-
-  // FIFO execution queue in a-delivery order; `blocked_` true while the head
-  // waits for transfers / returns / handoffs.
-  std::deque<QueueItem> queue_;
-  bool blocked_ = false;
-
-  // Parallel-executor state (null / empty when exec_lanes <= 1). Pending
-  // commands were popped from queue_ but not yet applied; every checkpoint
-  // capture and snapshot hand-off flushes first, so the batch is never part
-  // of durable state (Snapshot deliberately has no counterpart fields).
-  std::unique_ptr<ParallelExecutor> exec_;
-  std::deque<ExecCommandPtr> exec_pending_;
-  std::unordered_set<std::uint64_t> exec_pending_clients_;
-  bool exec_flush_armed_ = false;
-  std::shared_mutex exec_store_mutex_;  // installed only during thread batches
-
-  // Commands delivered before the plan their addressing was computed
-  // against; re-enqueued when that plan is applied.
-  std::deque<ExecCommandPtr> future_;
-
   // Target-side: transfers received per command (may arrive early).
   struct TransferState {
     std::map<PartitionId, std::vector<ObjectEnvelope>> received;
     std::set<PartitionId> aborted;
   };
-  std::map<CmdKey, TransferState> transfers_;
-
   // Source-side: objects currently lent out, per command.
   struct LendRecord {
     PartitionId borrower;
     std::vector<VertexId> vertices;
   };
-  std::map<CmdKey, LendRecord> lends_;
-  std::unordered_set<ObjectId> lent_objects_;
-  std::unordered_map<VertexId, int> lent_vertex_count_;
-  std::set<CmdKey> returns_seen_;
-  // A return can outrun this replica's own processing of the command: the
-  // peer source replica's transfer drives the target, whose return lands
-  // here before we lent anything. Hold it until the lend record exists.
-  std::map<CmdKey, sim::Ref<const VarReturn>> early_returns_;
-  std::set<CmdKey> sent_transfers_;  // non-target: vars already shipped
-  std::set<CmdKey> ssmr_sent_;
-  // Target-side: commands already executed or rejected, with the sources
-  // whose transfers were consumed (or already bounced). A late transfer
-  // from any *other* source is bounced straight back; duplicates from an
-  // already-consumed source are dropped (bouncing those would resurrect
-  // pre-execution object state at the source).
-  std::map<CmdKey, std::set<PartitionId>> resolved_;
-
-  // Plan-application state.
-  std::unordered_map<VertexId, PartitionId> awaited_;      // inbound moves
-  std::unordered_map<VertexId, PartitionId> obligations_;  // outbound moves
-  std::unordered_set<VertexId> fetch_requested_;  // on-demand: asked sources
-  std::unordered_set<VertexId> fetch_wanted_;     // on-demand src: send when free
-  std::set<std::pair<Epoch, std::uint64_t>> handoffs_seen_;
-  std::vector<sim::Ref<const ObjectHandoff>> handoff_buffer_;
-  /// Reassembly of chunked handoffs, keyed by (epoch, vertex). Snapshotted:
-  /// the reliable link acks each chunk on processing, so a partial assembly
-  /// alive at checkpoint time must survive restore or the acked-but-unspliced
-  /// chunks would never be retransmitted.
+  /// Reassembly of a chunked handoff.
   struct HandoffAssembly {
     std::uint32_t total_chunks = 0;
     std::set<std::uint32_t> have;
     sim::MessagePtr handoff;  // full ObjectHandoff, spliced at completion
   };
-  std::map<std::pair<Epoch, std::uint64_t>, HandoffAssembly> handoff_assembly_;
-
-  // Workload-graph hints accumulated since the last report (deterministic
-  // across replicas: driven purely by executed commands).
-  std::map<std::uint64_t, std::int64_t> hint_vertices_;
-  std::map<std::pair<std::uint64_t, std::uint64_t>, std::int64_t> hint_edges_;
-  std::uint64_t commands_since_hint_ = 0;
-  std::uint64_t hint_emissions_ = 0;
-
-  std::uint64_t location_updates_emitted_ = 0;  // DS-SMR uid counter
-
-  // Read-lease state. The leased copies and holder records are *volatile by
-  // design*: a lease is only ever trusted after epoch+version validation, so
-  // losing them costs one fallback round-trip, never correctness. They are
-  // deliberately absent from Snapshot and cleared on restore (a regression
-  // test pins this). Two maps are snapshotted, for different reasons:
-  //  * lease_grants_ is per-command coordination like transfers_ (a target
-  //    blocked at the queue head on already-acked grants would deadlock
-  //    without it);
-  //  * lease_versions_ must stay MONOTONE across a recovery within an
-  //    epoch. Snapshotting makes it a pure function of the applied log, so
-  //    all replicas of a group agree on every version number; a recovered
-  //    replica restarting its counters at zero could re-issue a version the
-  //    group already used for different data, and a stale installed copy
-  //    would then validate spuriously.
   struct InstalledLease {
     PartitionId lender;
     Epoch epoch = 0;
     std::uint64_t version = 0;
     std::vector<ObjectEnvelope> objects;
   };
-  /// Reader side: installed lease copy per remote vertex.
-  std::unordered_map<VertexId, InstalledLease> leases_;
-  /// Lender side: mutation counter per owned vertex (absent = 0).
-  std::unordered_map<VertexId, std::uint64_t> lease_versions_;
-  /// Lender side: partitions believed to hold a live copy of the vertex.
-  std::unordered_map<VertexId, std::set<PartitionId>> lease_holders_;
-  /// Target side: grants received per command (may arrive early).
-  std::map<CmdKey, std::map<PartitionId, sim::Ref<const LeaseGrant>>>
-      lease_grants_;
-
-  // DS-SMR: state needed to roll an aborted permanent move back. Entries
-  // for committed moves are never revisited (the target commits exactly
-  // once) and are retained for the run's lifetime.
+  // DS-SMR: state needed to roll an aborted permanent move back.
   struct MoveRecord {
     std::vector<std::pair<VertexId, PartitionId>> previous_owner;
   };
-  std::map<CmdKey, MoveRecord> dssmr_moves_;
 
-  // STAR state. The epoch-switch markers are emitted by master replicas via
-  // a per-replica McastClient (timer emission is replica-local, like the
-  // oracle's plan_sender_) and deduplicated by epoch at every receiver, so
-  // the first delivered marker defines each group's switch position.
-  multicast::McastClient star_sender_;
-  Epoch star_epoch_ = 0;
-  /// Highest epoch this replica has emitted a marker for; replica-local
-  /// (deliberately not snapshotted) — it only throttles duplicate emission.
-  Epoch star_marker_inflight_ = 0;
-  /// Master: multi-partition commands awaiting the next epoch switch, in
-  /// delivery order. Non-masters never queue here (they are not addressed).
-  std::deque<ExecCommandPtr> star_deferred_;
-  /// Non-master: per-epoch updates that arrived before (or while blocked at)
-  /// the epoch's marker. First sender wins; monotone epochs only.
-  std::map<Epoch, sim::Ref<const StarEpochUpdate>> star_updates_;
+  // Replica state by construction (docs/CORRECTNESS.md §5): a field's struct
+  // decides whether it survives a crash. Durable is what a checkpoint carries
+  // besides the store and the protocol layers' own state; a snapshot holds
+  // this value, so capture is a copy and restore an assignment.
+  struct Durable {
+    struct Exec {
+      std::unordered_map<std::uint64_t, CachedReply> reply_cache;
+      Assignment map;
+      Epoch epoch = 0;
+      // FIFO execution queue in a-delivery order; `blocked` is true while
+      // the head waits for transfers / returns / handoffs.
+      std::deque<QueueItem> queue;
+      bool blocked = false;
+      // Commands delivered before the plan their addressing was computed
+      // against; re-enqueued when that plan is applied.
+      std::deque<ExecCommandPtr> future;
+    } exec;
+    struct Borrow {
+      std::map<CmdKey, TransferState> transfers;
+      std::map<CmdKey, LendRecord> lends;
+      std::unordered_set<ObjectId> lent_objects;
+      std::unordered_map<VertexId, int> lent_vertex_count;
+      std::set<CmdKey> returns_seen;
+      // A return can outrun this replica's own processing of the command:
+      // the peer source replica's transfer drives the target, whose return
+      // lands here before we lent anything. Held until the lend record
+      // exists.
+      std::map<CmdKey, sim::Ref<const VarReturn>> early_returns;
+      std::set<CmdKey> sent_transfers;  // non-target: vars already shipped
+      std::set<CmdKey> ssmr_sent;
+      // Target-side: commands already executed or rejected, with the
+      // sources whose transfers were consumed (or already bounced). A late
+      // transfer from any *other* source is bounced straight back;
+      // duplicates from an already-consumed source are dropped (bouncing
+      // those would resurrect pre-execution object state at the source).
+      std::map<CmdKey, std::set<PartitionId>> resolved;
+    } borrow;
+    struct Plan {
+      std::unordered_map<VertexId, PartitionId> awaited;      // inbound moves
+      std::unordered_map<VertexId, PartitionId> obligations;  // outbound moves
+      // On-demand mode: sources asked (target side); vertices to ship as
+      // soon as they are free (source side).
+      std::unordered_set<VertexId> fetch_requested;
+      std::unordered_set<VertexId> fetch_wanted;
+      std::set<std::pair<Epoch, std::uint64_t>> handoffs_seen;
+      std::vector<sim::Ref<const ObjectHandoff>> handoff_buffer;
+      /// Chunked handoffs being reassembled, keyed by (epoch, vertex).
+      std::map<std::pair<Epoch, std::uint64_t>, HandoffAssembly>
+          handoff_assembly;
+    } plan;
+    struct Lease {
+      /// Target side: grants received per command (may arrive early).
+      std::map<CmdKey, std::map<PartitionId, sim::Ref<const LeaseGrant>>>
+          grants;
+      /// Lender side: mutation counter per owned vertex (absent = 0).
+      std::unordered_map<VertexId, std::uint64_t> versions;
+    } lease;
+    struct Dssmr {
+      // Entries for committed moves are never revisited (the target commits
+      // exactly once) and are retained for the run's lifetime.
+      std::map<CmdKey, MoveRecord> moves;
+      std::uint64_t location_updates_emitted = 0;  // uid counter
+    } dssmr;
+    // Workload-graph hints accumulated since the last report (deterministic
+    // across replicas: driven purely by executed commands).
+    struct Hints {
+      std::map<std::uint64_t, std::int64_t> vertices;
+      std::map<std::pair<std::uint64_t, std::uint64_t>, std::int64_t> edges;
+      std::uint64_t commands_since = 0;
+      std::uint64_t emissions = 0;
+    } hints;
+    struct Star {
+      Epoch epoch = 0;
+      /// Master: multi-partition commands awaiting the next epoch switch,
+      /// in delivery order. Non-masters never queue here.
+      std::deque<ExecCommandPtr> deferred;
+      /// Non-master: per-epoch updates that arrived before (or while
+      /// blocked at) the epoch's marker. First sender wins; monotone epochs.
+      std::map<Epoch, sim::Ref<const StarEpochUpdate>> updates;
+    } star;
+  };
+  Durable durable_;
+
+  // Volatile dies with the incarnation: restore_snapshot() value-initialises
+  // it.
+  struct Volatile {
+    /// Reader side: installed lease copy per remote vertex.
+    std::unordered_map<VertexId, InstalledLease> leases;
+    /// Lender side: partitions believed to hold a live copy of the vertex.
+    std::unordered_map<VertexId, std::set<PartitionId>> lease_holders;
+    /// Parallel-executor batch: popped from the queue but not yet applied.
+    std::deque<ExecCommandPtr> exec_pending;
+    std::unordered_set<std::uint64_t> exec_pending_clients;
+    /// Highest epoch this replica has emitted a STAR marker for; only
+    /// throttles duplicate emission (restore resets it to the restored
+    /// epoch).
+    Epoch star_marker_inflight = 0;
+  };
+  Volatile volatile_;
+
+  // Parallel executor (null when exec_lanes <= 1) and its batch timer; not
+  // replica state, so restore leaves them alone.
+  std::unique_ptr<ParallelExecutor> exec_;
+  bool exec_flush_armed_ = false;
+  std::shared_mutex exec_store_mutex_;  // installed only during thread batches
 };
 
-/// Defined out of line so it can name the core's private bookkeeping types.
+/// Defined out of line so it can name the core's private Durable type.
 struct PartitionServerCore::Snapshot {
   multicast::MemberCore::State member;
   sim::ReliableLink::State reliable;
-
-  std::unordered_map<std::uint64_t, CachedReply> reply_cache;
-  ObjectStore store;  // deep-copied on capture AND restore
-  Assignment map;
-  Epoch epoch = 0;
-  std::deque<QueueItem> queue;
-  bool blocked = false;
-  std::deque<ExecCommandPtr> future;
-  std::map<CmdKey, TransferState> transfers;
-  std::map<CmdKey, LendRecord> lends;
-  std::unordered_set<ObjectId> lent_objects;
-  std::unordered_map<VertexId, int> lent_vertex_count;
-  std::set<CmdKey> returns_seen;
-  std::map<CmdKey, sim::Ref<const VarReturn>> early_returns;
-  std::set<CmdKey> sent_transfers;
-  std::set<CmdKey> ssmr_sent;
-  std::map<CmdKey, std::set<PartitionId>> resolved;
-  std::map<CmdKey, std::map<PartitionId, sim::Ref<const LeaseGrant>>>
-      lease_grants;
-  std::unordered_map<VertexId, std::uint64_t> lease_versions;
-  std::unordered_map<VertexId, PartitionId> awaited;
-  std::unordered_map<VertexId, PartitionId> obligations;
-  std::unordered_set<VertexId> fetch_requested;
-  std::unordered_set<VertexId> fetch_wanted;
-  std::set<std::pair<Epoch, std::uint64_t>> handoffs_seen;
-  std::vector<sim::Ref<const ObjectHandoff>> handoff_buffer;
-  std::map<std::pair<Epoch, std::uint64_t>, HandoffAssembly> handoff_assembly;
-  std::map<std::uint64_t, std::int64_t> hint_vertices;
-  std::map<std::pair<std::uint64_t, std::uint64_t>, std::int64_t> hint_edges;
-  std::uint64_t commands_since_hint = 0;
-  std::uint64_t hint_emissions = 0;
-  std::uint64_t location_updates_emitted = 0;
-  std::map<CmdKey, MoveRecord> dssmr_moves;
   multicast::McastClient::State star_sender;
-  Epoch star_epoch = 0;
-  std::deque<ExecCommandPtr> star_deferred;
-  std::map<Epoch, sim::Ref<const StarEpochUpdate>> star_updates;
-};
+  Durable durable;
+  ObjectStore store;  // deep-copied on capture AND restore
 
-/// Carrier for a server snapshot travelling as an InstallSnapshotResp
-/// payload. The snapshot is immutable; receivers deep-copy on install.
-struct ServerSnapshotMsg final : sim::Message {
-  explicit ServerSnapshotMsg(PartitionServerCore::SnapshotPtr s)
-      : state(std::move(s)) {}
-  const char* type_name() const override { return "core.ServerSnapshot"; }
-  std::size_t size_bytes() const override {
-    return 256 + (state ? state->store.total_bytes() : 0);
+  /// Approximate wire size when shipped to a peer.
+  [[nodiscard]] std::size_t size_bytes() const {
+    return 256 + store.total_bytes();
   }
-  PartitionServerCore::SnapshotPtr state;
 };
 
 }  // namespace dynastar::core

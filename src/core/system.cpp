@@ -52,8 +52,12 @@ System::System(SystemConfig config, AppFactory app_factory)
 
   // Oracle group (group 0).
   for (std::uint32_t r = 0; r < replicas; ++r) {
-    auto& node = world_.spawn<OracleNode>(topology_, config_,
-                                          /*record_metrics=*/r == 0);
+    auto& node = world_.spawn<OracleNode>(
+        config_.oracle_service_time, [this, r](OracleNode& host) {
+          return std::make_unique<OracleCore>(
+              host, topology_, config_, &world_.metrics(),
+              /*record_metrics=*/r == 0, &world_.trace());
+        });
     oracle_nodes_.push_back(&node);
   }
   for (std::uint32_t a = 0; a < acceptors; ++a) {
@@ -66,9 +70,16 @@ System::System(SystemConfig config, AppFactory app_factory)
   server_nodes_.resize(config_.num_partitions);
   for (std::uint32_t p = 0; p < config_.num_partitions; ++p) {
     for (std::uint32_t r = 0; r < replicas; ++r) {
-      auto& node = world_.spawn<ServerNode>(topology_, PartitionId{p}, config_,
-                                            app_factory_,
-                                            /*record_metrics=*/r == 0);
+      // A fresh app instance per incarnation: AppStateMachine holds no
+      // state outside the ObjectStore (by contract), so a new one is
+      // equivalent.
+      auto& node = world_.spawn<ServerNode>(
+          config_.server_service_time, [this, p, r](ServerNode& host) {
+            return std::make_unique<PartitionServerCore>(
+                host, topology_, PartitionId{p}, config_, app_factory_(),
+                &world_.metrics(), /*record_metrics=*/r == 0,
+                &world_.trace());
+          });
       server_nodes_[p].push_back(&node);
     }
     for (std::uint32_t a = 0; a < acceptors; ++a) {

@@ -35,19 +35,7 @@ void MemberCore::start() {
 }
 
 MemberCore::State MemberCore::capture_state() const {
-  State s;
-  s.clock = clock_;
-  s.pending = pending_;
-  s.seen = seen_;
-  s.delivered_count = delivered_count_;
-  s.early_proposals = early_proposals_;
-  s.final_submitted = final_submitted_;
-  s.channels = channels_;
-  s.unstarted = unstarted_;
-  s.outbox = outbox_;
-  s.group_sender_seq = group_sender_seq_;
-  s.replica = replica_.checkpoint_state();
-  return s;
+  return State{state_, replica_.checkpoint_state()};
 }
 
 void MemberCore::restore_state(const State& s) {
@@ -55,21 +43,12 @@ void MemberCore::restore_state(const State& s) {
   // drop McastSends it receipt-acked but the peer has not started: the ack
   // stopped the sender's retransmissions, so this stash may hold the only
   // surviving copy. Carry those entries across the install; resubmission is
-  // deduplicated through seen_. (After a crash the map starts empty — no-op.)
+  // deduplicated through seen. (After a crash the map starts empty — no-op.)
   std::map<Uid, Unstarted> carried;
-  for (const auto& [uid, entry] : unstarted_)
+  for (const auto& [uid, entry] : state_.unstarted)
     if (!s.seen.contains(uid)) carried.emplace(uid, entry);
-  clock_ = s.clock;
-  pending_ = s.pending;
-  seen_ = s.seen;
-  delivered_count_ = s.delivered_count;
-  early_proposals_ = s.early_proposals;
-  final_submitted_ = s.final_submitted;
-  channels_ = s.channels;
-  unstarted_ = s.unstarted;
-  for (const auto& [uid, entry] : carried) unstarted_.emplace(uid, entry);
-  outbox_ = s.outbox;
-  group_sender_seq_ = s.group_sender_seq;
+  state_ = s;
+  for (const auto& [uid, entry] : carried) state_.unstarted.emplace(uid, entry);
   replica_.restore(s.replica);
 }
 
@@ -86,20 +65,20 @@ void MemberCore::arm_repair_timer() {
   // leader), not just the leader — the send may have reached only followers.
   env_.start_timer(kRepairInterval, [this] {
     const SimTime now = env_.now();
-    for (auto& [uid, entry] : unstarted_) {
+    for (auto& [uid, entry] : state_.unstarted) {
       if (now - entry.since < kRepairInterval) continue;
       entry.since = now;
       replica_.submit(sim::make_message<StartEntry>(entry.data));
     }
     if (replica_.is_leader()) {
-      for (auto& [uid, pending] : pending_) {
+      for (auto& [uid, pending] : state_.pending) {
         if (pending.data->groups.size() > 1 && !pending.final_ts.has_value()) {
           resend_to_silent_groups(pending);
           broadcast_ts_proposal(pending);
           maybe_submit_final(uid);
         }
       }
-      for (auto& entry : outbox_) {
+      for (auto& entry : state_.outbox) {
         if (!entry.unacked.empty() && now - entry.last_tx >= kRepairInterval)
           transmit(entry);
       }
@@ -131,27 +110,27 @@ void MemberCore::on_send(ProcessId from, const McastSend& msg) {
   // Ack receipt even for duplicates — the sender's previous ack may have
   // been lost, and it keeps retransmitting until one arrives.
   env_.send_message(from, sim::make_message<McastAck>(uid, group_));
-  if (seen_.contains(uid) || unstarted_.contains(uid)) return;
+  if (state_.seen.contains(uid) || state_.unstarted.contains(uid)) return;
   if (gate_ && replica_.is_leader() && groups.size() == 1 &&
       gate_(*msg.data)) {
     // Shed at admission: order a shed-flagged Start so every replica makes
-    // the identical decision from the log. Not stashed in unstarted_ — if
+    // the identical decision from the log. Not stashed in unstarted — if
     // this submit is lost (leader crash), followers hold the send in their
-    // own unstarted_ and the repair timer re-drives a plain Start, which is
-    // a benign late admission.
+    // own unstarted and the repair timer re-drives a plain Start, which is a
+    // benign late admission.
     replica_.submit(sim::make_message<StartEntry>(msg.data, /*shed=*/true));
     return;
   }
-  unstarted_[uid] = Unstarted{msg.data, env_.now()};
+  state_.unstarted[uid] = Unstarted{msg.data, env_.now()};
   if (replica_.is_leader())
     replica_.submit(sim::make_message<StartEntry>(msg.data));
 }
 
 bool MemberCore::on_ack(const McastAck& msg) {
-  for (auto it = outbox_.begin(); it != outbox_.end(); ++it) {
+  for (auto it = state_.outbox.begin(); it != state_.outbox.end(); ++it) {
     if (it->data->uid != msg.uid) continue;
     it->unacked.erase(msg.group);
-    if (it->unacked.empty()) outbox_.erase(it);
+    if (it->unacked.empty()) state_.outbox.erase(it);
     return true;
   }
   // Not one of ours: either already fully acked (late duplicate) or aimed at
@@ -160,11 +139,11 @@ bool MemberCore::on_ack(const McastAck& msg) {
 }
 
 void MemberCore::on_ts_proposal(const TsProposal& msg) {
-  auto it = pending_.find(msg.uid);
-  if (it == pending_.end()) {
-    auto seen = seen_.find(msg.uid);
-    if (seen == seen_.end()) {
-      early_proposals_[msg.uid][msg.from_group] = msg.ts;
+  auto it = state_.pending.find(msg.uid);
+  if (it == state_.pending.end()) {
+    auto seen = state_.seen.find(msg.uid);
+    if (seen == state_.seen.end()) {
+      state_.early_proposals[msg.uid][msg.from_group] = msg.ts;
     } else if (!msg.reply && msg.from_group != group_) {
       // Already ordered here — possibly already delivered, in which case the
       // repair timer no longer re-drives our proposal. The sender may be
@@ -199,11 +178,11 @@ void MemberCore::on_log_entry(const sim::MessagePtr& value) {
 }
 
 void MemberCore::process_start(const McastDataPtr& data, bool shed) {
-  if (seen_.contains(data->uid)) {
-    unstarted_.erase(data->uid);
+  if (state_.seen.contains(data->uid)) {
+    state_.unstarted.erase(data->uid);
     return;
   }
-  auto& channel = channels_[data->sender];
+  auto& channel = state_.channels[data->sender];
   const std::uint64_t seq = data->seq_for(group_);
   if (seq != channel.next_seq) {
     if (seq > channel.next_seq) channel.held[seq] = HeldStart{data, shed};
@@ -215,21 +194,22 @@ void MemberCore::process_start(const McastDataPtr& data, bool shed) {
     // Admit `current`: assign the group-local timestamp. Shed messages still
     // take a timestamp and advance the FIFO channel — the shed flag only
     // changes which delivery callback fires.
-    unstarted_.erase(current->uid);
+    state_.unstarted.erase(current->uid);
     Pending pending;
     pending.data = current;
     pending.shed = current_shed;
-    pending.local_ts = ++clock_;
-    seen_.emplace(current->uid, pending.local_ts);
+    pending.local_ts = ++state_.clock;
+    state_.seen.emplace(current->uid, pending.local_ts);
     pending.proposals.emplace(group_, pending.local_ts);
-    if (auto early = early_proposals_.find(current->uid);
-        early != early_proposals_.end()) {
+    if (auto early = state_.early_proposals.find(current->uid);
+        early != state_.early_proposals.end()) {
       for (const auto& [g, ts] : early->second)
         pending.proposals.emplace(g, ts);
-      early_proposals_.erase(early);
+      state_.early_proposals.erase(early);
     }
     const bool single_group = current->groups.size() == 1;
-    auto [it, inserted] = pending_.emplace(current->uid, std::move(pending));
+    auto [it, inserted] =
+        state_.pending.emplace(current->uid, std::move(pending));
     assert(inserted);
     if (single_group) {
       it->second.final_ts = it->second.local_ts;
@@ -248,23 +228,24 @@ void MemberCore::process_start(const McastDataPtr& data, bool shed) {
 }
 
 void MemberCore::process_final(Uid uid, Timestamp ts) {
-  auto it = pending_.find(uid);
-  if (it == pending_.end() || it->second.final_ts.has_value()) return;
-  clock_ = std::max(clock_, ts);
+  auto it = state_.pending.find(uid);
+  if (it == state_.pending.end() || it->second.final_ts.has_value()) return;
+  state_.clock = std::max(state_.clock, ts);
   it->second.final_ts = ts;
   try_deliver();
 }
 
 void MemberCore::maybe_submit_final(Uid uid) {
   if (!replica_.is_leader()) return;
-  auto it = pending_.find(uid);
-  if (it == pending_.end()) return;
+  auto it = state_.pending.find(uid);
+  if (it == state_.pending.end()) return;
   const Pending& pending = it->second;
-  if (pending.final_ts.has_value() || final_submitted_.contains(uid)) return;
+  if (pending.final_ts.has_value() || state_.final_submitted.contains(uid))
+    return;
   if (pending.proposals.size() < pending.data->groups.size()) return;
   Timestamp final_ts = 0;
   for (const auto& [g, ts] : pending.proposals) final_ts = std::max(final_ts, ts);
-  final_submitted_.insert(uid);
+  state_.final_submitted.insert(uid);
   replica_.submit(sim::make_message<FinalEntry>(uid, final_ts));
 }
 
@@ -294,15 +275,15 @@ void MemberCore::broadcast_ts_proposal(const Pending& pending) {
 }
 
 void MemberCore::try_deliver() {
-  while (!pending_.empty()) {
+  while (!state_.pending.empty()) {
     // The deliverable message is the pending minimum by (lower bound, uid),
     // provided its final timestamp is known: every other pending message can
     // only end up with a larger (ts, uid) key.
-    auto min_it = pending_.end();
+    auto min_it = state_.pending.end();
     Timestamp min_lb = 0;
-    for (auto it = pending_.begin(); it != pending_.end(); ++it) {
+    for (auto it = state_.pending.begin(); it != state_.pending.end(); ++it) {
       const Timestamp lb = it->second.final_ts.value_or(it->second.local_ts);
-      if (min_it == pending_.end() || lb < min_lb ||
+      if (min_it == state_.pending.end() || lb < min_lb ||
           (lb == min_lb && it->first < min_it->first)) {
         min_it = it;
         min_lb = lb;
@@ -311,10 +292,10 @@ void MemberCore::try_deliver() {
     if (!min_it->second.final_ts.has_value()) return;
     McastDataPtr data = min_it->second.data;
     const bool shed = min_it->second.shed;
-    final_submitted_.erase(min_it->first);
-    early_proposals_.erase(min_it->first);
-    pending_.erase(min_it);
-    ++delivered_count_;
+    state_.final_submitted.erase(min_it->first);
+    state_.early_proposals.erase(min_it->first);
+    state_.pending.erase(min_it);
+    ++state_.delivered_count;
     if (trace_)
       trace_->record(TracePoint::kMcastDelivered, env_.now(), data->uid, 0,
                      env_.self().value(), group_.value());
@@ -329,18 +310,18 @@ void MemberCore::try_deliver() {
 void MemberCore::on_gain_leadership() {
   // A previous leader may have died between ordering and coordinating; make
   // every in-flight step happen again (receivers deduplicate).
-  for (auto& [uid, entry] : unstarted_) {
+  for (auto& [uid, entry] : state_.unstarted) {
     entry.since = env_.now();
     replica_.submit(sim::make_message<StartEntry>(entry.data));
   }
-  for (auto& [uid, pending] : pending_) {
+  for (auto& [uid, pending] : state_.pending) {
     if (pending.data->groups.size() > 1 && !pending.final_ts.has_value()) {
       resend_to_silent_groups(pending);
       broadcast_ts_proposal(pending);
       maybe_submit_final(uid);
     }
   }
-  for (auto& entry : outbox_)
+  for (auto& entry : state_.outbox)
     if (!entry.unacked.empty()) transmit(entry);
 }
 
@@ -350,15 +331,15 @@ void MemberCore::amcast_as_group(Uid uid, std::vector<GroupId> groups,
   groups.erase(std::unique(groups.begin(), groups.end()), groups.end());
   std::vector<std::pair<GroupId, std::uint64_t>> seqs;
   seqs.reserve(groups.size());
-  for (GroupId g : groups) seqs.emplace_back(g, ++group_sender_seq_[g]);
+  for (GroupId g : groups) seqs.emplace_back(g, ++state_.group_sender_seq[g]);
   auto data = sim::make_message<McastData>(
       uid, group_sender_key(group_), env_.self(), std::move(groups),
       std::move(seqs), std::move(payload));
   OutEntry entry;
   entry.data = data;
   entry.unacked.insert(data->groups.begin(), data->groups.end());
-  outbox_.push_back(std::move(entry));
-  if (replica_.is_leader()) transmit(outbox_.back());
+  state_.outbox.push_back(std::move(entry));
+  if (replica_.is_leader()) transmit(state_.outbox.back());
 }
 
 void MemberCore::transmit(OutEntry& entry) {

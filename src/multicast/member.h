@@ -63,25 +63,49 @@ class MemberCore {
     std::map<std::uint64_t, HeldStart> held;
   };
 
-  // McastSends received but not yet seen as Start entries (see unstarted_).
+  // McastSends received but not yet seen as Start entries (see
+  // Protocol::unstarted).
   struct Unstarted {
     McastDataPtr data;
     SimTime since = 0;  // last submission attempt (age-gates resubmits)
   };
 
-  /// The complete multicast protocol state captured into a checkpoint. Plain
-  /// value copies; McastData payloads are immutable and shared by pointer.
-  struct State {
+  /// The multicast protocol state. The member holds it as one value, so a
+  /// checkpoint is a plain copy of it; McastData payloads are immutable and
+  /// shared by pointer.
+  struct Protocol {
     Timestamp clock = 0;
     std::unordered_map<Uid, Pending> pending;
+    /// Started or delivered uids (dedupe for Start), each with the
+    /// group-local timestamp assigned at admission. The timestamp outlives
+    /// the pending entry on purpose: after this group delivers, a peer group
+    /// whose copy of our proposal was lost still repair-polls with its own
+    /// proposal, and we must be able to answer (see on_ts_proposal) or that
+    /// group wedges.
     std::unordered_map<Uid, Timestamp> seen;
     std::uint64_t delivered_count = 0;
+    /// Timestamp proposals that arrived before the Start entry was processed.
     std::unordered_map<Uid, std::map<GroupId, Timestamp>> early_proposals;
+    /// Finals already submitted (leader-side dedupe; log-side dedupe also
+    /// holds).
     std::unordered_set<Uid> final_submitted;
     std::unordered_map<std::uint64_t, SenderChannel> channels;
+    /// McastSends received but not yet seen as Start entries; every replica
+    /// retains (and periodically re-submits) them until started, so a send
+    /// that reached only a follower — or whose leader died — still gets
+    /// ordered.
     std::map<Uid, Unstarted> unstarted;
+    /// Group-sender outbox: multicasts this group emitted
+    /// (deterministically). The leader retransmits entries to destination
+    /// groups that have not acked yet; fully-acked entries are pruned.
     std::vector<OutEntry> outbox;
+    /// Deterministic per-destination-group fifo sequence counters for
+    /// amcast_as_group (replicated state: identical at all replicas).
     std::map<GroupId, std::uint64_t> group_sender_seq;
+  };
+
+  /// What a checkpoint captures: the protocol state plus the Paxos position.
+  struct State : Protocol {
     paxos::ReplicaRestart replica;
   };
 
@@ -136,12 +160,16 @@ class MemberCore {
   [[nodiscard]] bool is_leader() const { return replica_.is_leader(); }
   paxos::ReplicaCore& replica() { return replica_; }
   [[nodiscard]] const paxos::ReplicaCore& replica() const { return replica_; }
-  [[nodiscard]] std::uint64_t delivered_count() const { return delivered_count_; }
+  [[nodiscard]] std::uint64_t delivered_count() const {
+    return state_.delivered_count;
+  }
 
   /// Group-sender multicasts awaiting acks from destination groups. Grows
   /// when a destination is saturated or down — a backpressure signal the
   /// oracle's admission gate folds into its load estimate.
-  [[nodiscard]] std::size_t outbox_depth() const { return outbox_.size(); }
+  [[nodiscard]] std::size_t outbox_depth() const {
+    return state_.outbox.size();
+  }
 
  private:
   void on_log_entry(const sim::MessagePtr& value);
@@ -167,36 +195,7 @@ class MemberCore {
   DeliverFn shed_deliver_;
   TraceCollector* trace_ = nullptr;
 
-  Timestamp clock_ = 0;
-  std::unordered_map<Uid, Pending> pending_;
-  // Started or delivered uids (dedupe for Start), each with the group-local
-  // timestamp assigned at admission. The timestamp outlives the pending_
-  // entry on purpose: after this group delivers, a peer group whose copy of
-  // our proposal was lost still repair-polls with its own proposal, and we
-  // must be able to answer (see on_ts_proposal) or that group wedges.
-  std::unordered_map<Uid, Timestamp> seen_;
-  std::uint64_t delivered_count_ = 0;
-
-  // Timestamp proposals that arrived before the Start entry was processed.
-  std::unordered_map<Uid, std::map<GroupId, Timestamp>> early_proposals_;
-  // Finals already submitted (leader-side dedupe; log-side dedupe also holds).
-  std::unordered_set<Uid> final_submitted_;
-
-  std::unordered_map<std::uint64_t, SenderChannel> channels_;
-
-  // McastSends received but not yet seen as Start entries; every replica
-  // retains (and periodically re-submits) them until started, so a send that
-  // reached only a follower — or whose leader died — still gets ordered.
-  std::map<Uid, Unstarted> unstarted_;
-
-  // Group-sender outbox: multicasts this group emitted (deterministically).
-  // The leader retransmits entries to destination groups that have not acked
-  // yet; fully-acked entries are pruned.
-  std::vector<OutEntry> outbox_;
-
-  // Deterministic per-destination-group fifo sequence counters for
-  // amcast_as_group (replicated state: identical at all replicas).
-  std::map<GroupId, std::uint64_t> group_sender_seq_;
+  Protocol state_;
 };
 
 }  // namespace dynastar::multicast
