@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/linearizability.h"
@@ -393,6 +394,58 @@ TEST(FaultTolerance, SnapshotInstallRacingPlanEpochBump) {
   EXPECT_EQ(tally.ok, 6u * 150u);
   const auto full = testutil::with_initial_puts(history, 16, 1000);
   EXPECT_TRUE(check_kv_linearizable(full).linearizable);
+}
+
+TEST(FaultTolerance, RecoveringFollowerConvergesUnderLoad) {
+  // A follower that rejoins under sustained load, after its peers truncated
+  // far past its gap, needs one snapshot install. Decisions keep arriving
+  // while the transfer runs; the install must keep the ones above the
+  // snapshot slot and replay them. Discarding them left the follower below
+  // the leader's log floor after every install: a loop of installs that
+  // ended only when the load stopped.
+  auto config = config_for(core::ExecutionMode::kDynaStar,
+                           /*num_partitions=*/1);
+  config.paxos.checkpoint_interval = 32;
+  config.paxos.catchup_window = 8;
+  core::System system(config, workloads::kv_app_factory());
+  preload(system, 256);
+  for (int c = 0; c < 16; ++c) {
+    system.add_client(
+        std::make_unique<workloads::RandomKvDriver>(256, 0.5, 0.0));
+  }
+  const ProcessId follower =
+      system.topology().group(core::group_of(PartitionId{0})).replicas[1];
+  system.run_until(seconds(1));
+  system.world().crash(follower);
+  system.run_until(seconds(2));
+  system.world().recover(follower);
+
+  // Sample the follower's lag behind the leader every 10 ms while the load
+  // runs; `converged` is the first sample from which it stays within the
+  // catch-up window.
+  const std::uint64_t window = config.paxos.catchup_window;
+  std::optional<SimTime> converged;
+  for (SimTime t = seconds(2); t < seconds(3);) {
+    t += milliseconds(10);
+    system.run_until(t);
+    const std::uint64_t leader =
+        system.server(PartitionId{0}, 0).member().replica().next_deliver_slot();
+    const std::uint64_t mine =
+        system.server(PartitionId{0}, 1).member().replica().next_deliver_slot();
+    if (mine + window < leader) {
+      converged.reset();
+    } else if (!converged) {
+      converged = t;
+    }
+  }
+  const double installs =
+      system.metrics().counter(metric::kServerSnapshotInstalls);
+  EXPECT_GE(installs, 1.0) << "the outage never outran the catch-up window";
+  EXPECT_LE(installs, 2.0) << "recovery looped through snapshot installs";
+  ASSERT_TRUE(converged.has_value())
+      << "the follower was still lagging at the end of the run";
+  EXPECT_LE(*converged, seconds(2) + milliseconds(200))
+      << "the follower took too long to catch up";
 }
 
 }  // namespace
