@@ -1,7 +1,8 @@
 // Seeded linearizability fuzzing: each seed deterministically derives a
 // whole scenario — workload mix, execution mode, parallel-executor lanes,
-// read leases, chaos nemesis, repartition churn — and the harness checks
-// that every command completes and the observed history stays linearizable.
+// read leases, chaos nemesis (short outages or snapshot-forcing long ones),
+// repartition churn — and the harness checks that every command completes
+// and the observed history stays linearizable.
 //
 // The derivation is a pure function of the seed, so a failing seed is a
 // one-line repro: LinFuzz/LinFuzz.SeededScenarioIsLinearizable/<seed>.
@@ -29,9 +30,10 @@ LinScenario scenario_for(std::uint64_t seed) {
   const std::uint64_t bits = mix(seed);
   LinScenario s;
   // Weight DynaStar: it owns the borrow/return + lease + repartition paths.
-  switch (bits % 4) {
+  switch (bits % 5) {
     case 0: s.mode = core::ExecutionMode::kSSMR; break;
     case 1: s.mode = core::ExecutionMode::kDSSMR; break;
+    case 2: s.mode = core::ExecutionMode::kStar; break;
     default: s.mode = core::ExecutionMode::kDynaStar; break;
   }
   s.partitions = 2 + ((bits >> 2) & 1);
@@ -42,6 +44,15 @@ LinScenario scenario_for(std::uint64_t seed) {
   s.exec_lanes = ((bits >> 8) & 1) != 0 ? 4 : 1;
   s.chaos = ((bits >> 9) & 1) != 0;
   s.chaos_seed = 100 + seed;
+  // Outages that outrun the catch-up window, so recovery goes through
+  // snapshot capture, transfer and install.
+  s.long_crashes = s.chaos && ((bits >> 12) & 1) != 0;
+  if (s.long_crashes) {
+    s.tune = [](core::SystemConfig& config) {
+      config.paxos.checkpoint_interval = 32;
+      config.paxos.catchup_window = 8;
+    };
+  }
   s.repartition_mid_run =
       s.mode == core::ExecutionMode::kDynaStar && ((bits >> 10) & 1) != 0;
   s.clients = 3;
@@ -59,7 +70,8 @@ TEST_P(LinFuzz, SeededScenarioIsLinearizable) {
                std::to_string(static_cast<int>(s.mode)) + " leases " +
                std::to_string(s.read_leases) + " lanes " +
                std::to_string(s.exec_lanes) + " chaos " +
-               std::to_string(s.chaos));
+               std::to_string(s.chaos) + " long crashes " +
+               std::to_string(s.long_crashes));
 
   const auto run = testutil::run_lin_scenario(s);
 
