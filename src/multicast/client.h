@@ -27,41 +27,36 @@ class McastClient {
     std::set<GroupId> unacked;
   };
 
-  /// Sender state captured into a checkpoint (the env/topology refs stay
-  /// with the owning incarnation). Payloads are immutable shared pointers.
+  /// Sender state, held as one value so a checkpoint is a copy of it (the
+  /// env/topology refs stay with the owning incarnation). Payloads are
+  /// immutable shared pointers.
   struct State {
     std::uint64_t next_uid = 0;
     std::map<GroupId, std::uint64_t> seq_per_group;
-    std::map<Uid, OutEntry> outbox;
+    std::map<Uid, OutEntry> outbox;  // sends awaiting group acks
   };
 
   McastClient(sim::Env& env, const paxos::Topology& topology)
       : env_(env), topology_(topology) {}
 
-  [[nodiscard]] State capture() const {
-    return State{next_uid_, seq_per_group_, outbox_};
-  }
+  [[nodiscard]] State capture() const { return state_; }
 
   /// Restores sender state after a crash; the owner re-drives delivery via
   /// retransmit_unacked() (receivers dedupe by uid).
-  void restore(const State& s) {
-    next_uid_ = s.next_uid;
-    seq_per_group_ = s.seq_per_group;
-    outbox_ = s.outbox;
-  }
+  void restore(const State& s) { state_ = s; }
 
   /// Atomically multicasts `payload` to `groups`; returns the message uid.
   Uid amcast(std::vector<GroupId> groups, sim::MessagePtr payload) {
     std::sort(groups.begin(), groups.end());
     groups.erase(std::unique(groups.begin(), groups.end()), groups.end());
-    const Uid uid = (env_.self().value() << 32) | ++next_uid_;
+    const Uid uid = (env_.self().value() << 32) | ++state_.next_uid;
     std::vector<std::pair<GroupId, std::uint64_t>> seqs;
     seqs.reserve(groups.size());
-    for (GroupId g : groups) seqs.emplace_back(g, ++seq_per_group_[g]);
+    for (GroupId g : groups) seqs.emplace_back(g, ++state_.seq_per_group[g]);
     auto data = sim::make_message<McastData>(
         uid, env_.self().value(), env_.self(), std::move(groups),
         std::move(seqs), std::move(payload));
-    auto& entry = outbox_[uid];
+    auto& entry = state_.outbox[uid];
     entry.data = data;
     entry.unacked.insert(data->groups.begin(), data->groups.end());
     transmit(entry);
@@ -73,10 +68,10 @@ class McastClient {
   bool handle(const sim::MessagePtr& msg) {
     const auto* ack = dynamic_cast<const McastAck*>(msg.get());
     if (ack == nullptr) return false;
-    auto it = outbox_.find(ack->uid);
-    if (it != outbox_.end()) {
+    auto it = state_.outbox.find(ack->uid);
+    if (it != state_.outbox.end()) {
       it->second.unacked.erase(ack->group);
-      if (it->second.unacked.empty()) outbox_.erase(it);
+      if (it->second.unacked.empty()) state_.outbox.erase(it);
     }
     return true;
   }
@@ -84,10 +79,10 @@ class McastClient {
   /// Retransmits every send that still has unacked destination groups, in
   /// uid (i.e. submission) order.
   void retransmit_unacked() {
-    for (auto& [uid, entry] : outbox_) transmit(entry);
+    for (auto& [uid, entry] : state_.outbox) transmit(entry);
   }
 
-  [[nodiscard]] std::size_t unacked() const { return outbox_.size(); }
+  [[nodiscard]] std::size_t unacked() const { return state_.outbox.size(); }
 
  private:
   void transmit(const OutEntry& entry) {
@@ -101,9 +96,7 @@ class McastClient {
 
   sim::Env& env_;
   const paxos::Topology& topology_;
-  std::uint64_t next_uid_ = 0;
-  std::map<GroupId, std::uint64_t> seq_per_group_;
-  std::map<Uid, OutEntry> outbox_;  // sends awaiting group acks
+  State state_;
 };
 
 }  // namespace dynastar::multicast
