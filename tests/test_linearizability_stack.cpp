@@ -14,11 +14,21 @@
 namespace dynastar {
 namespace {
 
+// gtest names a parameter it cannot print by the parameter's raw bytes, so
+// the struct has no padding: the six bytes the compiler would leave
+// uninitialised between the flag and the seed are spelled out and zeroed.
+// Otherwise stray stack and heap address bytes leak into the test names and
+// the names change from one process to the next.
 struct LinParam {
+  LinParam(core::ExecutionMode m, bool repartition, std::uint64_t s)
+      : mode(m), repartition_mid_run(repartition), seed(s) {}
+
   core::ExecutionMode mode;
   bool repartition_mid_run;
+  std::uint8_t zeroed[6] = {};
   std::uint64_t seed;
 };
+static_assert(sizeof(LinParam) == 16, "LinParam must have no padding");
 
 class StackLinearizability : public ::testing::TestWithParam<LinParam> {};
 
