@@ -123,10 +123,10 @@ int main(int argc, char** argv) {
           .seed(42)
           .net_preset("wan:3dc")
           .tune([](core::SystemConfig& c) {
-            // The 2-second outage below outruns peers' retained logs, so
-            // the mid-collapse recovery REQUIRES a snapshot install — and
-            // stable checkpoints at most one interval old keep it on the
-            // chunked path. Small chunks force a real multi-chunk pull.
+            // The 2-second outage below outruns peers' retained logs (the
+            // slots since their last checkpoint plus a 16-slot window), so
+            // the mid-collapse recovery REQUIRES a snapshot install. Small
+            // chunks force a real multi-chunk pull.
             c.paxos.checkpoint_interval = 16;
             c.paxos.catchup_window = 16;
             c.paxos.transfer_chunk_bytes = 512;

@@ -315,8 +315,18 @@ def check_bench(report, baseline, max_regression,
 OVERLOAD_WINDOWS = ["baseline", "surge", "recovery"]
 
 
+def check_installs(installs, max_installs, err):
+    """Both benches script one crash, so recovery needs at most one install;
+    more means the replica fell below its peers' log floor again."""
+    if not isinstance(installs, (int, float)):
+        err("snapshot_installs missing or non-numeric")
+    elif installs > max_installs:
+        err(f"{installs:.0f} snapshot installs for one scripted crash "
+            f"(bound {max_installs}) — recovery is looping through installs")
+
+
 def check_overload_bench(report, baseline, max_regression,
-                         min_surge_ratio, min_recovery_ratio):
+                         min_surge_ratio, min_recovery_ratio, max_installs):
     errors = []
 
     def err(msg):
@@ -360,6 +370,7 @@ def check_overload_bench(report, baseline, max_regression,
     if total_shed <= 0:
         err("no commands were shed during a 2x-saturation surge — the "
             "admission gates are not engaging")
+    check_installs(report.get("snapshot_installs"), max_installs, err)
 
     if baseline is not None:
         base_goodput = baseline.get("baseline", {}).get("goodput_per_sec")
@@ -379,7 +390,8 @@ def check_overload_bench(report, baseline, max_regression,
 TRANSFER_WINDOWS = ["steady", "degraded"]
 
 
-def check_transfer_bench(report, baseline, max_regression, min_degraded_ratio):
+def check_transfer_bench(report, baseline, max_regression, min_degraded_ratio,
+                         max_installs):
     """Gates for bench/state_transfer_wan's WAN state-transfer document.
 
     The scenario runs a WAN topology, crashes a replica long enough that
@@ -387,7 +399,7 @@ def check_transfer_bench(report, baseline, max_regression, min_degraded_ratio):
     bandwidth 10x over the middle window. The system must keep executing on
     unaffected state: goodput in the degraded window stays at or above
     min_degraded_ratio of the steady window, and the chunk protocol must
-    actually have carried the install (chunks sent, install completed).
+    actually have carried the install (chunks sent, one install completed).
     """
     errors = []
 
@@ -430,6 +442,7 @@ def check_transfer_bench(report, baseline, max_regression, min_degraded_ratio):
     if transfer.get("snapshot_installs", 0) < 1:
         err("no snapshot install completed — recovery never finished the "
             "chunked transfer")
+    check_installs(transfer.get("snapshot_installs"), max_installs, err)
 
     if baseline is not None:
         base_goodput = baseline.get("steady", {}).get("goodput_per_sec")
@@ -635,6 +648,10 @@ def main():
                         help="transfer bench: goodput floor during the 10x "
                              "bandwidth drop as a fraction of steady state "
                              "(default 0.7)")
+    parser.add_argument("--max-snapshot-installs", type=int, default=1,
+                        help="overload and transfer benches: snapshot "
+                             "installs allowed for their one scripted crash "
+                             "(default 1)")
     parser.add_argument("--min-lease-reduction", type=float, default=0.2,
                         help="lease bench: minimum fractional cut in the "
                              "multi-partition read-only median from enabling "
@@ -699,7 +716,8 @@ def main():
             errors = check_overload_bench(report, baseline,
                                           args.max_regression,
                                           args.min_surge_ratio,
-                                          args.min_recovery_ratio)
+                                          args.min_recovery_ratio,
+                                          args.max_snapshot_installs)
             if errors:
                 for msg in errors:
                     print(f"check_report: {msg}", file=sys.stderr)
@@ -712,7 +730,8 @@ def main():
         if report.get("schema") == TRANSFER_SCHEMA:
             errors = check_transfer_bench(report, baseline,
                                           args.max_regression,
-                                          args.min_degraded_ratio)
+                                          args.min_degraded_ratio,
+                                          args.max_snapshot_installs)
             if errors:
                 for msg in errors:
                     print(f"check_report: {msg}", file=sys.stderr)

@@ -15,8 +15,8 @@
 namespace dynastar::core {
 
 /// Carrier for a core's snapshot inside the replica layer: the stable
-/// snapshot chunked transfers serve, and an InstallSnapshotResp payload. The
-/// snapshot is immutable; receivers copy on install.
+/// snapshot chunked transfers serve. The snapshot is immutable; receivers
+/// copy on install.
 template <class Snapshot>
 struct SnapshotMsg final : sim::Message {
   explicit SnapshotMsg(std::shared_ptr<const Snapshot> s)
@@ -32,7 +32,8 @@ struct SnapshotMsg final : sim::Message {
 /// destroys it, and recovery rebuilds a fresh core from the checkpoint plus
 /// log replay. The node wires the core's snapshots into its Paxos replica:
 /// each checkpoint boundary's snapshot becomes both the durable checkpoint
-/// and the stable snapshot chunked transfers serve.
+/// and the stable snapshot chunked transfers serve, and a recovered
+/// incarnation serves the durable checkpoint it restored from.
 template <class Core>
 class ReplicaNode final : public sim::Process {
  public:
@@ -58,7 +59,11 @@ class ReplicaNode final : public sim::Process {
 
   void on_recover() override {
     rebuild();
-    if (checkpoint_) core_->restore_snapshot(*checkpoint_);
+    if (checkpoint_) {
+      core_->restore_snapshot(*checkpoint_);
+      core_->member().replica().adopt_stable_snapshot(
+          sim::make_message<Carrier>(checkpoint_));
+    }
     core_->start_recovered();
   }
 
@@ -78,9 +83,6 @@ class ReplicaNode final : public sim::Process {
     replica.set_checkpoint_hook([this]() -> sim::MessagePtr {
       checkpoint_ = core_->on_checkpoint_boundary();
       return sim::make_message<Carrier>(checkpoint_);
-    });
-    replica.set_snapshot_provider([this]() -> sim::MessagePtr {
-      return sim::make_message<Carrier>(core_->take_snapshot());
     });
     replica.set_snapshot_installer([this](const sim::MessagePtr& m) {
       const auto* carrier = dynamic_cast<const Carrier*>(m.get());

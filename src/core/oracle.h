@@ -57,7 +57,6 @@ class OracleCore {
 
   // Snapshot hooks, driven by the hosting ReplicaNode (core/nodes.h); see
   // PartitionServerCore for their contracts.
-  [[nodiscard]] SnapshotPtr take_snapshot() const { return capture_snapshot(); }
   [[nodiscard]] SnapshotPtr on_checkpoint_boundary();
   void install_snapshot(const Snapshot& snapshot);
 

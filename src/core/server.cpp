@@ -123,16 +123,12 @@ void PartitionServerCore::restore_snapshot(const Snapshot& snapshot) {
   volatile_.star_marker_inflight = durable_.star.epoch;
 }
 
-PartitionServerCore::SnapshotPtr PartitionServerCore::take_snapshot() {
-  flush_exec_batch();
-  return capture_snapshot();
-}
-
 PartitionServerCore::SnapshotPtr PartitionServerCore::on_checkpoint_boundary() {
   // Boundaries are slot-count driven, so every replica flushes its pending
   // executor batch at the same log position — checkpoints stay identical
   // across replicas even though batch windows are timer-local.
-  SnapshotPtr snap = take_snapshot();
+  flush_exec_batch();
+  SnapshotPtr snap = capture_snapshot();
   // Tell peers which of their retained sends this durable checkpoint covers.
   reliable_.note_checkpoint(env_.now(), reliable_peers());
   if (metrics_) metrics_->add_counter(metric::kServerCheckpoints);
@@ -1589,15 +1585,15 @@ void PartitionServerCore::send_handoff(PartitionId to,
                                        sim::Ref<const ObjectHandoff> handoff) {
   const std::size_t chunk = config_.paxos.transfer_chunk_bytes;
   const std::size_t total_bytes = handoff->size_bytes();
-  if (chunk == 0 || total_bytes <= chunk) {
+  if (total_bytes <= chunk) {
     send_to_partition(to, handoff);
     return;
   }
-  const auto total_chunks =
-      static_cast<std::uint32_t>((total_bytes + chunk - 1) / chunk);
+  const std::uint32_t total_chunks =
+      paxos::chunk_slice(total_bytes, chunk, 0).total_chunks;
   for (std::uint32_t i = 0; i < total_chunks; ++i) {
-    const auto payload = static_cast<std::uint32_t>(
-        std::min(chunk, total_bytes - static_cast<std::size_t>(i) * chunk));
+    const std::uint32_t payload =
+        paxos::chunk_slice(total_bytes, chunk, i).payload_bytes;
     send_to_partition(to, sim::make_message<HandoffChunk>(
                               handoff->epoch, handoff->from, handoff->vertex,
                               i, total_chunks, payload, handoff));

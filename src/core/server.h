@@ -68,11 +68,10 @@ class PartitionServerCore {
   void restore_snapshot(const Snapshot& snapshot);
 
   // Snapshot hooks, driven by the hosting ReplicaNode (core/nodes.h).
-  /// Applies the pending executor batch, then captures: the snapshot a peer
-  /// installs must sit at a state the log reproduces.
-  [[nodiscard]] SnapshotPtr take_snapshot();
-  /// At a checkpoint boundary: take_snapshot() plus telling peers which of
-  /// their retained sends the new durable checkpoint covers.
+  /// At a checkpoint boundary: applies the pending executor batch (the
+  /// snapshot a peer installs must sit at a state the log reproduces),
+  /// captures, and tells peers which of their retained sends the new
+  /// durable checkpoint covers.
   [[nodiscard]] SnapshotPtr on_checkpoint_boundary();
   /// restore_snapshot() of a peer's snapshot, counted and traced.
   void install_snapshot(const Snapshot& snapshot);

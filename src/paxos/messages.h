@@ -4,6 +4,8 @@
 // whose owner rotates over the group's replicas (owner = ballot % replicas).
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -103,7 +105,8 @@ struct Decision final : sim::Message {
 
 /// Leader -> replicas: liveness heartbeat (suppresses elections).
 /// `floor_slot` advertises the leader's log floor: slots below it have been
-/// truncated and can only be recovered via snapshot transfer.
+/// truncated and can only be recovered via snapshot transfer. The floor
+/// never passes the slot of the leader's stable snapshot.
 struct Heartbeat final : sim::Message {
   Heartbeat(GroupId g, Ballot b, Slot next, Slot floor)
       : group(g), ballot(b), next_slot(next), floor_slot(floor) {}
@@ -114,7 +117,9 @@ struct Heartbeat final : sim::Message {
   Slot floor_slot;
 };
 
-/// Lagging replica -> leader: resend decisions starting at from_slot.
+/// Lagging replica -> leader: resend decisions starting at from_slot. When
+/// from_slot is below the leader's log floor, the answer is a ChunkManifest
+/// instead.
 struct CatchupReq final : sim::Message {
   CatchupReq(GroupId g, Slot from) : group(g), from_slot(from) {}
   const char* type_name() const override { return "paxos.CatchupReq"; }
@@ -122,45 +127,38 @@ struct CatchupReq final : sim::Message {
   Slot from_slot;
 };
 
-/// Lagging replica -> leader: my gap starts below your log floor; send a
-/// full snapshot instead of decisions.
-struct InstallSnapshotReq final : sim::Message {
-  InstallSnapshotReq(GroupId g, Slot have) : group(g), have_slot(have) {}
-  const char* type_name() const override { return "paxos.InstallSnapshotReq"; }
-  GroupId group;
-  Slot have_slot;
-};
-
-/// Leader -> lagging replica: an opaque application snapshot covering every
-/// slot below `next_slot`. The payload is produced by the upper layer's
-/// snapshot provider and installed by its snapshot installer; Paxos itself
-/// only transports it.
-struct InstallSnapshotResp final : sim::Message {
-  InstallSnapshotResp(GroupId g, Slot next, sim::MessagePtr st)
-      : group(g), next_slot(next), state(std::move(st)) {}
-  const char* type_name() const override { return "paxos.InstallSnapshotResp"; }
-  std::size_t size_bytes() const override {
-    return 64 + (state ? state->size_bytes() : 0);
-  }
-  GroupId group;
-  Slot next_slot;
-  sim::MessagePtr state;
-};
-
 // --- Chunked snapshot transfer (receiver-driven pull) -----------------------
 //
-// Replaces the monolithic InstallSnapshotResp when ReplicaConfig::transfer
-// chunking is enabled. A lagging replica still announces its gap with
-// InstallSnapshotReq; a chunk-capable peer answers with a ChunkManifest of
-// its latest *stable* (checkpoint-boundary) snapshot instead of a fresh
-// monolithic capture. The receiver then pulls fixed-size chunks — windowed,
-// with per-chunk retransmit timers — from whichever group peer its
-// observed-bandwidth EWMA ranks best, and splices the state in only once
-// every chunk has arrived. Checkpoints land at deterministic slot
-// boundaries, so every peer whose last checkpoint is at `next_slot` serves
-// the same manifest: a transfer survives its original sender crashing by
-// re-pulling the remaining chunks from someone else (Chiba/Ohmura/Nakamura,
-// arXiv:2110.04448 + arXiv:2204.08656).
+// The only way a replica installs a peer's state. A lagging replica whose
+// CatchupReq starts below the peer's log floor is answered with a
+// ChunkManifest of the peer's *stable* (checkpoint-boundary) snapshot; the
+// floor never passes that snapshot's slot, so such a snapshot always exists.
+// The receiver then pulls fixed-size chunks — windowed, with per-chunk
+// retransmit timers — from whichever group peer its observed-bandwidth EWMA
+// ranks best, and splices the state in only once every chunk has arrived.
+// Each StateChunkReq also acknowledges the chunks before it. Checkpoints
+// land at deterministic slot boundaries, so every peer whose last checkpoint
+// is at `next_slot` serves the same manifest: a transfer survives its
+// original sender crashing by re-pulling the remaining chunks from someone
+// else (Chiba/Ohmura/Nakamura, arXiv:2110.04448 + arXiv:2204.08656).
+
+/// One chunk of a `total_bytes` payload cut into `chunk_bytes` pieces.
+struct ChunkSlice {
+  std::uint32_t total_chunks;   // at least 1, even for an empty payload
+  std::uint32_t payload_bytes;  // the last chunk may be shorter; 0 past it
+};
+
+/// Shared by snapshot manifests/chunks and plan handoff chunks.
+inline ChunkSlice chunk_slice(std::size_t total_bytes, std::size_t chunk_bytes,
+                              std::uint32_t index) {
+  const std::size_t total =
+      std::max<std::size_t>(1, (total_bytes + chunk_bytes - 1) / chunk_bytes);
+  const std::size_t offset = static_cast<std::size_t>(index) * chunk_bytes;
+  const std::size_t payload =
+      index < total ? std::min(chunk_bytes, total_bytes - offset) : 0;
+  return {static_cast<std::uint32_t>(total),
+          static_cast<std::uint32_t>(payload)};
+}
 
 /// Peer -> lagging replica: my stable snapshot covers slots < next_slot, cut
 /// into total_chunks pieces of chunk_bytes (the last one possibly shorter).
@@ -205,18 +203,6 @@ struct StateChunk final : sim::Message {
   std::uint32_t total_chunks;
   std::uint32_t payload_bytes;
   sim::MessagePtr state;
-};
-
-/// Receiver -> peer: chunk `index` arrived. Closes the per-chunk loop on the
-/// wire (senders are stateless in the sim, but the ack keeps the exchange
-/// faithful to the real protocol and feeds per-link accounting).
-struct StateChunkAck final : sim::Message {
-  StateChunkAck(GroupId g, Slot next, std::uint32_t idx)
-      : group(g), next_slot(next), index(idx) {}
-  const char* type_name() const override { return "paxos.StateChunkAck"; }
-  GroupId group;
-  Slot next_slot;
-  std::uint32_t index;
 };
 
 /// Values proposed by the leader are batches of submitted values; the

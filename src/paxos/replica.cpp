@@ -16,6 +16,7 @@ ReplicaCore::ReplicaCore(sim::Env& env, const Topology& topology, GroupId group,
   auto it = std::find(replicas.begin(), replicas.end(), env_.self());
   assert(it != replicas.end() && "replica core hosted on non-member node");
   my_index_ = static_cast<std::size_t>(it - replicas.begin());
+  assert(config_.transfer_chunk_bytes > 0);
 }
 
 ProcessId ReplicaCore::leader_hint() const {
@@ -112,7 +113,7 @@ void ReplicaCore::start_recovered() {
   arm_election_timer();
   // Pull the missing suffix without waiting for the next heartbeat. If the
   // gap starts below the peer's log floor, its on_catchup answers with a
-  // snapshot instead of decisions.
+  // snapshot manifest instead of decisions.
   if (leader_hint() != env_.self()) {
     env_.send_message(leader_hint(),
                       sim::make_message<CatchupReq>(group_, next_deliver_slot_));
@@ -154,16 +155,6 @@ bool ReplicaCore::handle(ProcessId from, const sim::MessagePtr& msg) {
     on_catchup(from, *p);
     return true;
   }
-  if (auto* p = dynamic_cast<const InstallSnapshotReq*>(msg.get())) {
-    if (p->group != group_) return false;
-    on_install_req(from, *p);
-    return true;
-  }
-  if (auto* p = dynamic_cast<const InstallSnapshotResp*>(msg.get())) {
-    if (p->group != group_) return false;
-    on_install_resp(*p);
-    return true;
-  }
   if (auto* p = dynamic_cast<const ChunkManifest*>(msg.get())) {
     if (p->group != group_) return false;
     on_chunk_manifest(from, *p);
@@ -177,12 +168,6 @@ bool ReplicaCore::handle(ProcessId from, const sim::MessagePtr& msg) {
   if (auto* p = dynamic_cast<const StateChunk*>(msg.get())) {
     if (p->group != group_) return false;
     on_chunk(from, *p);
-    return true;
-  }
-  if (auto* p = dynamic_cast<const StateChunkAck*>(msg.get())) {
-    if (p->group != group_) return false;
-    // Wire-level close of the chunk loop; the sim-side sender is stateless,
-    // so there is nothing to update.
     return true;
   }
   return false;
@@ -352,13 +337,15 @@ void ReplicaCore::try_deliver() {
       take_checkpoint();
     }
   }
-  // Trim the applied prefix. Everything below the last checkpoint is
-  // recoverable from the snapshot, so only the window beyond it needs to be
-  // retained for peer catch-up; a replica that lags below the floor pulls a
-  // snapshot via InstallSnapshotReq.
-  Slot cutoff = last_checkpoint_slot_;
-  if (config_.catchup_window > 0 && next_deliver_slot_ > config_.catchup_window)
-    cutoff = std::max(cutoff, next_deliver_slot_ - config_.catchup_window);
+  // Trim the applied prefix, but never past the stable snapshot: a replica
+  // that lags below the floor is served that snapshot, and the decisions
+  // above it must still be here to close the gap to the tip. The window
+  // keeps the most recent decisions too, so a slightly lagging peer catches
+  // up from the log even right after a checkpoint.
+  const Slot stable_slot = stable_snapshot_ ? last_checkpoint_slot_ : 0;
+  const Slot cutoff = std::min(
+      stable_slot,
+      next_deliver_slot_ - std::min(next_deliver_slot_, config_.catchup_window));
   if (cutoff > floor_slot_) {
     log_.erase(log_.begin(), log_.lower_bound(cutoff));
     floor_slot_ = cutoff;
@@ -413,23 +400,18 @@ void ReplicaCore::maybe_request_catchup(Slot leader_next, Slot leader_floor) {
   env_.start_timer(config_.catchup_delay, [this, below_floor] {
     catchup_pending_ = false;
     if (state_ == State::kLeading) return;
-    if (below_floor && snapshot_installer_) {
-      // An active chunk transfer already owns recovery of this gap; its
-      // retransmit timers redirect to other peers if the source dies.
-      if (transfer_) return;
-      env_.send_message(leader_hint(), sim::make_message<InstallSnapshotReq>(
-                                           group_, next_deliver_slot_));
-    } else {
-      env_.send_message(
-          leader_hint(), sim::make_message<CatchupReq>(group_, next_deliver_slot_));
-    }
+    // An active chunk transfer already owns recovery of a below-floor gap;
+    // its retransmit timers redirect to other peers if the source dies.
+    if (below_floor && transfer_) return;
+    env_.send_message(
+        leader_hint(), sim::make_message<CatchupReq>(group_, next_deliver_slot_));
   });
 }
 
 void ReplicaCore::on_catchup(ProcessId from, const CatchupReq& msg) {
-  if (msg.from_slot < floor_slot_ && snapshot_provider_) {
-    // The requested prefix is gone; a snapshot covers it (chunked when a
-    // stable checkpoint snapshot exists, monolithic otherwise).
+  if (msg.from_slot < floor_slot_) {
+    // The requested prefix is gone; the stable snapshot covers it, and the
+    // retained log covers the rest once it is installed.
     offer_snapshot(from, msg.from_slot);
     return;
   }
@@ -439,31 +421,16 @@ void ReplicaCore::on_catchup(ProcessId from, const CatchupReq& msg) {
   }
 }
 
-void ReplicaCore::on_install_req(ProcessId from, const InstallSnapshotReq& msg) {
-  offer_snapshot(from, msg.have_slot);
-}
-
 void ReplicaCore::offer_snapshot(ProcessId to, Slot have_slot) {
-  if (config_.transfer_chunk_bytes > 0 && stable_snapshot_ &&
-      last_checkpoint_slot_ > have_slot) {
-    const std::size_t chunk = config_.transfer_chunk_bytes;
-    const std::size_t total_bytes = stable_snapshot_->size_bytes();
-    const auto total = static_cast<std::uint32_t>(
-        std::max<std::size_t>(1, (total_bytes + chunk - 1) / chunk));
-    env_.send_message(to, sim::make_message<ChunkManifest>(
-                              group_, last_checkpoint_slot_, total,
-                              static_cast<std::uint32_t>(chunk)));
-    return;
-  }
-  // No stable snapshot newer than the receiver's position (or chunking is
-  // off): fall back to a monolithic fresh capture at the tip. This also
-  // closes the gap when catchup_window < checkpoint_interval leaves a
-  // freshly chunk-installed replica still below the leader's log floor.
-  maybe_send_snapshot(to, have_slot);
+  if (!stable_snapshot_ || last_checkpoint_slot_ <= have_slot) return;
+  const std::size_t chunk = config_.transfer_chunk_bytes;
+  const ChunkSlice slice = chunk_slice(stable_snapshot_->size_bytes(), chunk, 0);
+  env_.send_message(to, sim::make_message<ChunkManifest>(
+                            group_, last_checkpoint_slot_, slice.total_chunks,
+                            static_cast<std::uint32_t>(chunk)));
 }
 
 void ReplicaCore::on_chunk_req(ProcessId from, const StateChunkReq& msg) {
-  if (config_.transfer_chunk_bytes == 0) return;
   if (msg.next_slot != last_checkpoint_slot_) {
     // Our stable snapshot moved past the manifest being pulled: offer the
     // newer one so the receiver restarts instead of starving. When we are
@@ -474,17 +441,13 @@ void ReplicaCore::on_chunk_req(ProcessId from, const StateChunkReq& msg) {
     return;
   }
   if (!stable_snapshot_) return;
-  const std::size_t chunk = config_.transfer_chunk_bytes;
-  const std::size_t total_bytes = stable_snapshot_->size_bytes();
-  const auto total = static_cast<std::uint32_t>(
-      std::max<std::size_t>(1, (total_bytes + chunk - 1) / chunk));
-  if (msg.index >= total) return;
-  const auto payload = static_cast<std::uint32_t>(std::min(
-      chunk, total_bytes - static_cast<std::size_t>(msg.index) * chunk));
-  env_.send_message(from,
-                    sim::make_message<StateChunk>(group_, msg.next_slot,
-                                                  msg.index, total, payload,
-                                                  stable_snapshot_));
+  const ChunkSlice slice = chunk_slice(stable_snapshot_->size_bytes(),
+                                       config_.transfer_chunk_bytes, msg.index);
+  if (msg.index >= slice.total_chunks) return;
+  env_.send_message(from, sim::make_message<StateChunk>(
+                              group_, msg.next_slot, msg.index,
+                              slice.total_chunks, slice.payload_bytes,
+                              stable_snapshot_));
   if (metrics_) metrics_->add_counter(metric::kTransferChunksSent);
 }
 
@@ -553,9 +516,6 @@ void ReplicaCore::request_chunk(std::uint32_t index, std::uint32_t tries) {
 }
 
 void ReplicaCore::on_chunk(ProcessId from, const StateChunk& msg) {
-  env_.send_message(from, sim::make_message<StateChunkAck>(group_,
-                                                           msg.next_slot,
-                                                           msg.index));
   if (!transfer_ || msg.next_slot != transfer_->next_slot) return;
   Transfer& t = *transfer_;
   auto out = t.outstanding.find(msg.index);
@@ -617,30 +577,14 @@ void ReplicaCore::complete_transfer() {
   if (!snapshot_installer_ || state_ == State::kLeading) return;
   if (done.next_slot <= next_deliver_slot_) return;  // outran the manifest
   if (!done.state || !snapshot_installer_(done.state)) return;
+  // The installer restored our position to done.next_slot; persist the
+  // installed state as the durable checkpoint and stable snapshot, then
+  // deliver the decisions retained above it.
   take_checkpoint();
   try_deliver();
 }
 
 void ReplicaCore::abandon_transfer() { transfer_.reset(); }
-
-void ReplicaCore::maybe_send_snapshot(ProcessId to, Slot have_slot) {
-  if (!snapshot_provider_ || next_deliver_slot_ <= have_slot) return;
-  env_.send_message(to, sim::make_message<InstallSnapshotResp>(
-                            group_, next_deliver_slot_, snapshot_provider_()));
-}
-
-void ReplicaCore::on_install_resp(const InstallSnapshotResp& msg) {
-  // Stale or self-defeating installs are ignored: a leader never rolls its
-  // own state back, and a snapshot at or below our position adds nothing.
-  if (!snapshot_installer_ || state_ == State::kLeading) return;
-  if (msg.next_slot <= next_deliver_slot_) return;
-  if (!snapshot_installer_(msg.state)) return;
-  // The installer restored every layer, including our position (restore()),
-  // so next_deliver_slot_ == msg.next_slot here. Persist the installed state
-  // as the new durable checkpoint, then resume normal delivery.
-  take_checkpoint();
-  try_deliver();
-}
 
 void ReplicaCore::arm_election_timer() {
   // Randomized patience avoids dueling candidates with two replicas.

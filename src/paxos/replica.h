@@ -34,20 +34,21 @@ struct ReplicaConfig {
   SimTime phase1_timeout = milliseconds(50);
   /// Follower delay before requesting missing decisions from the leader.
   SimTime catchup_delay = milliseconds(10);
-  /// Applied log entries retained for serving CatchupReq beyond the last
-  /// checkpoint. A replica whose gap starts below a peer's retained log
-  /// pulls a full snapshot via InstallSnapshotReq instead of wedging.
-  Slot catchup_window = 16384;
+  /// Recent decisions kept behind the tip beyond the stable snapshot, for
+  /// serving CatchupReq. The log floor is min(stable snapshot slot,
+  /// next_deliver - catchup_window): it never passes the snapshot a replica
+  /// below it must install, so any such replica can be sent a manifest.
+  Slot catchup_window = 0;
   /// Take an application checkpoint every this many applied slots (0
-  /// disables). The applied log is truncated up to the last checkpoint, so
-  /// log memory is bounded by max(checkpoint_interval, catchup_window)
-  /// retained entries once checkpoints start landing.
+  /// disables). The applied log is truncated up to the stable snapshot, so
+  /// log memory is bounded by checkpoint_interval + catchup_window retained
+  /// entries once checkpoints start landing; with no snapshot nothing is
+  /// truncated.
   Slot checkpoint_interval = 4096;
 
   // --- chunked snapshot transfer (see messages.h §Chunked snapshot
-  // transfer). Defaults enable chunking with a 64KiB chunk; 0 restores the
-  // monolithic InstallSnapshotResp path bit-for-bit. ---
-  /// Chunk payload size in bytes (0 disables chunked transfer).
+  // transfer) ---
+  /// Chunk payload size in bytes (> 0).
   std::size_t transfer_chunk_bytes = 64 * 1024;
   /// Outstanding chunk requests per transfer (pipeline depth).
   std::size_t transfer_window = 4;
@@ -102,12 +103,6 @@ class ReplicaCore {
     checkpoint_hook_ = std::move(fn);
   }
 
-  /// Produces an opaque snapshot of the upper layer's current state, shipped
-  /// to peers whose catch-up gap starts below our log floor.
-  void set_snapshot_provider(std::function<sim::MessagePtr()> fn) {
-    snapshot_provider_ = std::move(fn);
-  }
-
   /// Installs a peer snapshot; must restore every layer including this
   /// replica's position (via restore()). Returns false to reject a payload
   /// it does not recognise.
@@ -123,12 +118,21 @@ class ReplicaCore {
   void start();
 
   /// Resets all volatile state to a checkpointed position. Proposer
-  /// bookkeeping, stashed values, the stable snapshot (the adopted state's
-  /// checkpoint history belongs to the peer) and the log below
+  /// bookkeeping, stashed values, the stable snapshot and the log below
   /// `s.next_deliver_slot` are dropped; decisions at or above it are kept
   /// and delivered next, and any gap is re-learned via catch-up or another
-  /// snapshot install.
+  /// snapshot install. The caller re-establishes a stable snapshot: a peer
+  /// install checkpoints right away, a crash recovery adopts its durable
+  /// checkpoint via adopt_stable_snapshot().
   void restore(const ReplicaRestart& s);
+
+  /// Serves `snapshot` — the durable checkpoint restore() just installed,
+  /// taken at last_checkpoint_slot() — as the stable snapshot, so a
+  /// crash-recovered replica can answer below-floor peers before its next
+  /// checkpoint boundary.
+  void adopt_stable_snapshot(sim::MessagePtr snapshot) {
+    stable_snapshot_ = std::move(snapshot);
+  }
 
   /// Captures the Paxos-level position for a checkpoint.
   [[nodiscard]] ReplicaRestart checkpoint_state() const {
@@ -174,14 +178,11 @@ class ReplicaCore {
   void on_decision(const Decision& msg);
   void on_heartbeat(const Heartbeat& msg);
   void on_catchup(ProcessId from, const CatchupReq& msg);
-  void on_install_req(ProcessId from, const InstallSnapshotReq& msg);
-  void on_install_resp(const InstallSnapshotResp& msg);
-  void maybe_send_snapshot(ProcessId to, Slot have_slot);
   void take_checkpoint();
 
   // Chunked transfer: sender side.
-  /// Answers a snapshot request with a ChunkManifest when a stable snapshot
-  /// newer than `have_slot` exists, else falls back to the monolithic path.
+  /// Answers a below-floor request with a ChunkManifest of the stable
+  /// snapshot when it is newer than `have_slot`.
   void offer_snapshot(ProcessId to, Slot have_slot);
   void on_chunk_req(ProcessId from, const StateChunkReq& msg);
   // Chunked transfer: receiver side.
@@ -216,7 +217,6 @@ class ReplicaCore {
   TraceCollector* trace_ = nullptr;
   std::function<void()> on_lead_;
   std::function<sim::MessagePtr()> checkpoint_hook_;
-  std::function<sim::MessagePtr()> snapshot_provider_;
   std::function<bool(const sim::MessagePtr&)> snapshot_installer_;
   std::size_t my_index_ = 0;
 
@@ -240,15 +240,17 @@ class ReplicaCore {
   bool flush_scheduled_ = false;
 
   // Learner state. `floor_slot_` is the lowest slot still in log_; slots
-  // below it are only recoverable via snapshot transfer.
+  // below it are only recoverable via snapshot transfer, and it never
+  // exceeds the stable snapshot's slot.
   std::map<Slot, sim::MessagePtr> log_;
   Slot next_deliver_slot_ = 0;
   std::uint64_t next_seq_ = 0;
   Slot floor_slot_ = 0;
   Slot last_checkpoint_slot_ = 0;
-  /// What the checkpoint hook returned at last_checkpoint_slot_ (null until
-  /// the first boundary and after restore()); chunk requests are served
-  /// from it without copying state.
+  /// What the checkpoint hook returned at last_checkpoint_slot_, or the
+  /// adopted durable checkpoint (null until the first boundary and between
+  /// restore() and the next boundary or adoption); chunk requests are
+  /// served from it without copying state.
   sim::MessagePtr stable_snapshot_;
 
   // Liveness.

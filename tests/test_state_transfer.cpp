@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <iostream>
+#include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,19 +48,18 @@ void preload(core::System& system) {
   system.preload_assignment(assignment);
 }
 
-// Small checkpoints + a catch-up window of the same order: a replica that
-// misses a few dozen decisions is below its peers' log floor and must pull
-// a snapshot, and the stable checkpoint the chunk path serves is at most
-// one interval stale (so the chunked branch, not the monolithic fallback,
-// carries the install). Tiny chunks force real multi-chunk transfers out
-// of the few-KiB test snapshots.
+// Small checkpoints and no catch-up window beyond them: a peer's log floor
+// is its last stable checkpoint, so a replica that misses a few dozen
+// decisions is below it and must pull that checkpoint as chunks. Tiny
+// chunks force real multi-chunk transfers out of the few-KiB test
+// snapshots.
 core::SystemConfig transfer_config(std::uint64_t seed,
                                    std::uint32_t replicas = 2) {
   auto config = config_for(core::ExecutionMode::kDynaStar, /*partitions=*/2);
   config.seed = seed;
   config.replicas_per_partition = replicas;
   config.paxos.checkpoint_interval = 16;
-  config.paxos.catchup_window = 16;
+  config.paxos.catchup_window = 0;
   config.paxos.transfer_chunk_bytes = 256;
   // Unbounded retries: commands issued into the crash window must retry
   // until they land (a bounded budget would orphan executed-but-unacked
@@ -132,9 +133,8 @@ TEST(StateTransfer, ChunkedInstallCompletesAndIsLinearizable) {
   system.world().recover(victim);
   system.run_until(seconds(8));
 
-  // The recovery went through the chunk protocol, not the monolithic path:
-  // multiple chunks served, the transfer completed, and the trace carries
-  // the state_transfer span.
+  // The recovery went through the chunk protocol: multiple chunks served,
+  // the transfer completed, and the trace carries the state_transfer span.
   EXPECT_GE(system.metrics().counter(metric::kServerSnapshotInstalls), 1.0);
   EXPECT_GT(system.metrics().counter(metric::kTransferChunksSent), 1.0);
   bool saw_start = false, saw_end = false;
@@ -238,6 +238,115 @@ TEST(StateTransfer, SenderCrashMidTransferResumesFromDifferentPeer) {
   expect_linearizable(full);
 }
 
+TEST(StateTransfer, LogFloorNeverPassesStableCheckpoint) {
+  // The rule behind the single install path: a replica trims its log only
+  // up to its stable checkpoint, so a peer below the floor can always be
+  // sent that checkpoint plus the decisions retained above it. Sampled on
+  // every live replica of every group while a follower crashes, rejoins
+  // and installs under load, with a window smaller than the interval.
+  auto config = transfer_config(/*seed=*/15);
+  config.paxos.checkpoint_interval = 32;
+  config.paxos.catchup_window = 8;
+  core::System system(config, workloads::kv_app_factory());
+  preload(system);
+  CrashRecoverRun run;
+  add_recording_clients(system, run, /*clients=*/6, /*ops=*/200);
+
+  const ProcessId victim =
+      system.topology().group(core::group_of(PartitionId{0})).replicas[1];
+  std::uint64_t samples = 0, violations = 0;
+  paxos::Slot highest_floor = 0;
+  const auto check = [&](ProcessId id, const paxos::ReplicaCore& replica) {
+    ++samples;
+    highest_floor = std::max(highest_floor, replica.floor_slot());
+    if (replica.floor_slot() <= replica.last_checkpoint_slot()) return;
+    if (violations++ == 0)
+      ADD_FAILURE() << "process " << id.value() << " trimmed to slot "
+                    << replica.floor_slot() << ", past its checkpoint at "
+                    << replica.last_checkpoint_slot();
+  };
+  for (SimTime t = 0; t < seconds(3);) {
+    t += milliseconds(10);
+    system.run_until(t);
+    if (t == milliseconds(20)) system.world().crash(victim);
+    if (t == milliseconds(80)) system.world().recover(victim);
+    const auto& oracles = system.topology().group(core::kOracleGroup).replicas;
+    for (std::size_t r = 0; r < oracles.size(); ++r)
+      check(oracles[r], system.oracle(r).member().replica());
+    for (std::uint32_t p = 0; p < config.num_partitions; ++p) {
+      const auto& group =
+          system.topology().group(core::group_of(PartitionId{p})).replicas;
+      for (std::size_t r = 0; r < group.size(); ++r) {
+        if (system.world().find(group[r])->crashed()) continue;
+        check(group[r], system.server(PartitionId{p}, r).member().replica());
+      }
+    }
+  }
+
+  EXPECT_GT(samples, 0u);
+  EXPECT_EQ(violations, 0u) << "samples with the floor past the checkpoint";
+  EXPECT_GT(highest_floor, 0u) << "no log was ever trimmed";
+  EXPECT_GE(system.metrics().counter(metric::kServerSnapshotInstalls), 1.0)
+      << "the outage never outran the peers' log floor";
+  EXPECT_EQ(run.tally.completions, run.expected) << "clients hung";
+}
+
+TEST(StateTransfer, RecoveredReplicaServesItsDurableCheckpoint) {
+  // A crash-recovered replica serves the durable checkpoint it restored
+  // from: a peer below its log floor is sent a manifest of that checkpoint
+  // before the recovered replica reaches another checkpoint boundary.
+  // Replica 2 goes down early and replica 0, the bootstrap leader, later;
+  // replica 1 takes over. Both return at once, and replica 2's catch-up
+  // request goes to replica 0, the leader of the ballot it restored.
+  core::System system(transfer_config(/*seed=*/16, /*replicas=*/3),
+                      workloads::kv_app_factory());
+  system.world().trace().enable();
+  preload(system);
+  CrashRecoverRun run;
+  add_recording_clients(system, run, /*clients=*/6, /*ops=*/150);
+
+  const auto& group =
+      system.topology().group(core::group_of(PartitionId{0})).replicas;
+  const ProcessId server = group[0];
+  const ProcessId puller = group[2];
+  system.run_until(milliseconds(20));
+  system.world().crash(puller);
+  system.run_until(milliseconds(60));
+  system.world().crash(server);
+  system.run_until(milliseconds(90));
+  system.world().recover(server);
+  system.world().recover(puller);
+  system.run_until(seconds(8));
+
+  std::optional<std::uint64_t> restored_slot;
+  std::optional<SimTime> next_boundary;
+  std::optional<TraceEvent> first_pull;
+  for (const TraceEvent& ev : system.world().trace().events()) {
+    if (ev.time < milliseconds(90)) continue;
+    if (ev.point == TracePoint::kRecoveryRestore && ev.node == server.value())
+      restored_slot = ev.key;
+    if (ev.point == TracePoint::kCheckpoint && ev.node == server.value() &&
+        !next_boundary)
+      next_boundary = ev.time;
+    if (ev.point == TracePoint::kStateTransferStart &&
+        ev.node == puller.value() && !first_pull)
+      first_pull = ev;
+  }
+  ASSERT_TRUE(restored_slot.has_value());
+  ASSERT_TRUE(first_pull.has_value()) << "replica 2 never pulled a snapshot";
+  EXPECT_GT(*restored_slot, 0u) << "replica 0 restored only the slot-0 state";
+  EXPECT_EQ(first_pull->key, *restored_slot)
+      << "replica 2 was not offered replica 0's durable checkpoint";
+  if (next_boundary)
+    EXPECT_LT(first_pull->time, *next_boundary)
+        << "the offer came after replica 0 checkpointed again";
+
+  EXPECT_EQ(run.tally.completions, run.expected) << "clients hung";
+  const auto full =
+      testutil::with_initial_puts(run.history, kKeys, kBaseValue);
+  expect_linearizable(full);
+}
+
 // --- harness-driven sweeps: chunked recovery + WAN under chaos ---
 
 testutil::LinScenario chunked_chaos_scenario(std::uint64_t seed) {
@@ -250,7 +359,7 @@ testutil::LinScenario chunked_chaos_scenario(std::uint64_t seed) {
   s.run_for = seconds(60);
   s.tune = [](core::SystemConfig& config) {
     config.paxos.checkpoint_interval = 16;
-    config.paxos.catchup_window = 16;
+    config.paxos.catchup_window = 0;
     config.paxos.transfer_chunk_bytes = 512;
     config.net_sites = 2;
   };

@@ -127,7 +127,7 @@ std::vector<Flag> flag_table(Options* o) {
          o->chaos_seed = std::atoll(v);
        }},
       {"--catchup-window=", "SLOTS",
-       "applied-log suffix retained for peer catch-up (0 = unbounded)",
+       "recent decisions kept beyond the stable checkpoint for peer catch-up",
        [o](const char* v) { o->catchup_window = std::atoll(v); }},
       {"--checkpoint-interval=", "SLOTS",
        "decided slots between durable checkpoints (0 = disabled)",
