@@ -108,10 +108,6 @@ struct SystemConfig {
   /// Worker lanes for the deterministic conflict-graph executor; 1 disables
   /// batching entirely (the serial path is untouched).
   std::uint32_t exec_lanes = 1;
-  /// Execute batches on a real std::thread lane pool instead of simulated
-  /// lanes. State evolution and sim timing are identical; only host wall
-  /// clock changes. Meant for wall-clock bench numbers.
-  bool exec_real_threads = false;
   /// Micro-batch window: a delivered command waits at most this long for
   /// companions before the executor flushes.
   SimTime exec_batch_window = microseconds(200);

@@ -8,8 +8,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <shared_mutex>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -52,82 +50,62 @@ inline std::uint64_t digest_mix(std::uint64_t h, std::uint64_t v) {
 using ObjectPtr = std::shared_ptr<PRObject>;
 
 /// A partition replica's local object storage with a vertex index.
-///
-/// Single-threaded by default. The parallel executor's real-thread backend
-/// installs a concurrency guard for the duration of a batch
-/// (set_concurrency_guard): index lookups take it shared, structural
-/// mutations (put/take) take it exclusive. Objects returned by find() are
-/// only written by one lane at a time — the conflict graph guarantees no
-/// two in-flight commands share a vertex unless both are read-only.
 class ObjectStore {
  public:
   /// Inserts or replaces an object. The vertex is the object's home vertex.
   void put(ObjectId id, VertexId vertex, ObjectPtr object) {
-    if (guard_ != nullptr) {
-      std::unique_lock<std::shared_mutex> lock(*guard_);
-      put_unlocked(id, vertex, std::move(object));
+    auto it = objects_.find(id);
+    if (it != objects_.end()) {
+      if (it->second.vertex != vertex) {
+        by_vertex_[it->second.vertex].erase(id);
+        by_vertex_[vertex].insert(id);
+        it->second.vertex = vertex;
+      }
+      it->second.object = std::move(object);
       return;
     }
-    put_unlocked(id, vertex, std::move(object));
+    objects_.emplace(id, Entry{vertex, std::move(object)});
+    by_vertex_[vertex].insert(id);
   }
 
   [[nodiscard]] bool contains(ObjectId id) const {
-    if (guard_ != nullptr) {
-      std::shared_lock<std::shared_mutex> lock(*guard_);
-      return objects_.contains(id);
-    }
     return objects_.contains(id);
   }
 
   /// Mutable access for command execution; nullptr when absent.
   [[nodiscard]] PRObject* find(ObjectId id) {
-    if (guard_ != nullptr) {
-      std::shared_lock<std::shared_mutex> lock(*guard_);
-      return find_unlocked(id);
-    }
-    return find_unlocked(id);
+    auto it = objects_.find(id);
+    return it == objects_.end() ? nullptr : it->second.object.get();
   }
 
   [[nodiscard]] const PRObject* find(ObjectId id) const {
-    if (guard_ != nullptr) {
-      std::shared_lock<std::shared_mutex> lock(*guard_);
-      return find_unlocked(id);
-    }
-    return find_unlocked(id);
+    auto it = objects_.find(id);
+    return it == objects_.end() ? nullptr : it->second.object.get();
   }
 
   [[nodiscard]] VertexId vertex_of(ObjectId id) const {
-    if (guard_ != nullptr) {
-      std::shared_lock<std::shared_mutex> lock(*guard_);
-      return vertex_of_unlocked(id);
-    }
-    return vertex_of_unlocked(id);
+    auto it = objects_.find(id);
+    return it == objects_.end() ? VertexId{UINT64_MAX} : it->second.vertex;
   }
 
   /// Removes and returns the object (nullptr if absent).
   ObjectPtr take(ObjectId id) {
-    if (guard_ != nullptr) {
-      std::unique_lock<std::shared_mutex> lock(*guard_);
-      return take_unlocked(id);
-    }
-    return take_unlocked(id);
+    auto it = objects_.find(id);
+    if (it == objects_.end()) return nullptr;
+    ObjectPtr obj = std::move(it->second.object);
+    by_vertex_[it->second.vertex].erase(id);
+    objects_.erase(it);
+    return obj;
   }
 
   /// All object ids homed at `vertex` (copy: callers mutate the store).
   [[nodiscard]] std::vector<ObjectId> objects_of_vertex(VertexId vertex) const {
-    if (guard_ != nullptr) {
-      std::shared_lock<std::shared_mutex> lock(*guard_);
-      return objects_of_vertex_unlocked(vertex);
-    }
-    return objects_of_vertex_unlocked(vertex);
+    auto it = by_vertex_.find(vertex);
+    if (it == by_vertex_.end()) return {};
+    return {it->second.begin(), it->second.end()};
   }
 
   [[nodiscard]] std::size_t size() const { return objects_.size(); }
-
-  /// Installs (or with nullptr removes) the reader/writer lock used while a
-  /// real-thread batch is in flight. The store does not own the mutex; the
-  /// guard is transient and never survives checkpoint capture or restore.
-  void set_concurrency_guard(std::shared_mutex* guard) { guard_ = guard; }
 
   /// Clone of the whole store with every object deep-copied — checkpoint
   /// capture/restore must not alias live mutable objects.
@@ -150,59 +128,12 @@ class ObjectStore {
   }
 
  private:
-  void put_unlocked(ObjectId id, VertexId vertex, ObjectPtr object) {
-    auto it = objects_.find(id);
-    if (it != objects_.end()) {
-      if (it->second.vertex != vertex) {
-        by_vertex_[it->second.vertex].erase(id);
-        by_vertex_[vertex].insert(id);
-        it->second.vertex = vertex;
-      }
-      it->second.object = std::move(object);
-      return;
-    }
-    objects_.emplace(id, Entry{vertex, std::move(object)});
-    by_vertex_[vertex].insert(id);
-  }
-
-  [[nodiscard]] PRObject* find_unlocked(ObjectId id) {
-    auto it = objects_.find(id);
-    return it == objects_.end() ? nullptr : it->second.object.get();
-  }
-
-  [[nodiscard]] const PRObject* find_unlocked(ObjectId id) const {
-    auto it = objects_.find(id);
-    return it == objects_.end() ? nullptr : it->second.object.get();
-  }
-
-  [[nodiscard]] VertexId vertex_of_unlocked(ObjectId id) const {
-    auto it = objects_.find(id);
-    return it == objects_.end() ? VertexId{UINT64_MAX} : it->second.vertex;
-  }
-
-  ObjectPtr take_unlocked(ObjectId id) {
-    auto it = objects_.find(id);
-    if (it == objects_.end()) return nullptr;
-    ObjectPtr obj = std::move(it->second.object);
-    by_vertex_[it->second.vertex].erase(id);
-    objects_.erase(it);
-    return obj;
-  }
-
-  [[nodiscard]] std::vector<ObjectId> objects_of_vertex_unlocked(
-      VertexId vertex) const {
-    auto it = by_vertex_.find(vertex);
-    if (it == by_vertex_.end()) return {};
-    return {it->second.begin(), it->second.end()};
-  }
-
   struct Entry {
     VertexId vertex;
     ObjectPtr object;
   };
   std::unordered_map<ObjectId, Entry> objects_;
   std::unordered_map<VertexId, std::unordered_set<ObjectId>> by_vertex_;
-  std::shared_mutex* guard_ = nullptr;  // non-owning, transient (see above)
 };
 
 }  // namespace dynastar::core

@@ -77,9 +77,6 @@ PartitionServerCore::PartitionServerCore(
         [this](const multicast::McastData& data) { on_shed_deliver(data); });
   }
   member_.replica().set_metrics(metrics_);
-  if (config_.exec_lanes > 1)
-    exec_ = std::make_unique<ParallelExecutor>(config_.exec_lanes,
-                                               config_.exec_real_threads);
 }
 
 void PartitionServerCore::start() {
@@ -410,7 +407,7 @@ void PartitionServerCore::pump() {
         break;
     }
 
-    if (exec_ && exec_batchable(*ec)) {
+    if (config_.exec_lanes > 1 && exec_batchable(*ec)) {
       exec_enqueue(ec);
       queue.pop_front();
       continue;
@@ -504,19 +501,17 @@ void PartitionServerCore::run_exec_batch(const std::vector<ExecCommandPtr>& batc
   std::vector<ExecIntent> intents;
   intents.reserve(batch.size());
   for (const ExecCommandPtr& ec : batch) intents.push_back(intent_for(*ec->cmd));
-  // Trace in slot order up front: worker lanes must not touch the
-  // collector, and consume_cpu does not advance now() within an event, so
-  // these records match what interleaved serial execution would emit.
+  // Trace in slot order up front: consume_cpu does not advance now()
+  // within an event, so these records match what interleaved serial
+  // execution would emit.
   for (const ExecCommandPtr& ec : batch)
     trace_cmd(TracePoint::kExecuteStart, *ec, partition_.value());
-  const bool threaded =
-      exec_->real_threads() && exec_->lanes() > 1 && batch.size() > 1;
-  if (threaded) store_.set_concurrency_guard(&exec_store_mutex_);
-  const BatchStats stats = exec_->run(intents, [&](std::size_t i) {
+  std::vector<SimTime> costs(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
     results[i] = app_->execute(*batch[i]->cmd, store_);
-    return results[i].cpu_cost;
-  });
-  if (threaded) store_.set_concurrency_guard(nullptr);
+    costs[i] = results[i].cpu_cost;
+  }
+  const BatchStats stats = batch_stats(intents, costs, config_.exec_lanes);
   // The batch charges its schedule makespan, not the serial sum — this is
   // where simulated lanes model the speedup (deterministically: the
   // schedule and costs are pure functions of the decided commands).
@@ -1325,7 +1320,7 @@ void PartitionServerCore::star_execute_batch(Epoch epoch) {
   std::map<PartitionId, std::set<VertexId>> touched;
   std::uint64_t executed = 0;
   // Runnable commands accumulate into chunks the conflict-graph executor
-  // runs as one batch (serial without exec_, preserving the original
+  // runs as one batch (serial with one lane, preserving the original
   // behavior). A second command from the same client — a retransmitted
   // attempt — closes the chunk, so the duplicate check below always sees
   // the first attempt's cached reply.
@@ -1344,7 +1339,7 @@ void PartitionServerCore::star_execute_batch(Epoch epoch) {
   };
   auto run_chunk = [&] {
     if (chunk.empty()) return;
-    if (exec_ && chunk.size() > 1) {
+    if (config_.exec_lanes > 1 && chunk.size() > 1) {
       std::vector<ExecResult> results;
       run_exec_batch(chunk, results);
       for (std::size_t i = 0; i < chunk.size(); ++i)

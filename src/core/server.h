@@ -14,7 +14,6 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <shared_mutex>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -370,11 +369,9 @@ class PartitionServerCore {
   };
   Volatile volatile_;
 
-  // Parallel executor (null when exec_lanes <= 1) and its batch timer; not
-  // replica state, so restore leaves them alone.
-  std::unique_ptr<ParallelExecutor> exec_;
+  // The executor's batch timer; not replica state, so restore leaves it
+  // alone.
   bool exec_flush_armed_ = false;
-  std::shared_mutex exec_store_mutex_;  // installed only during thread batches
 };
 
 /// Defined out of line so it can name the core's private Durable type.

@@ -1,18 +1,20 @@
 // Deterministic parallel command execution: conflict-graph construction,
-// wave/lane scheduling, serial-equivalence of both backends (simulated
-// lanes and the real std::thread pool), and the full-stack properties the
-// feature must preserve — bit-determinism and linearizability with lanes
-// enabled. The thread-backend tests here are also the TSan CI target.
+// wave/lane scheduling and its makespan accounting, serial-equivalence of
+// the lane schedule, and the full-stack properties the feature must
+// preserve — bit-determinism and linearizability with lanes enabled.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
+#include <deque>
 #include <memory>
-#include <shared_mutex>
+#include <numeric>
+#include <set>
 #include <vector>
 
 #include "common/linearizability.h"
 #include "common/metric_names.h"
 #include "common/rng.h"
+#include "common/trace.h"
 #include "core/parallel_exec.h"
 #include "core/scenario.h"
 #include "core/system.h"
@@ -112,9 +114,7 @@ TEST(ParallelExec, EmptyBatchIsANoOp) {
   EXPECT_EQ(graph.edges, 0u);
   EXPECT_EQ(core::build_schedule(graph, 4).waves, 0u);
 
-  core::ParallelExecutor exec(4, /*real_threads=*/false);
-  const auto stats =
-      exec.run({}, [](std::size_t) -> SimTime { return microseconds(1); });
+  const auto stats = core::batch_stats({}, {}, 4);
   EXPECT_EQ(stats.commands, 0u);
   EXPECT_EQ(stats.makespan, 0);
 }
@@ -138,28 +138,26 @@ TEST(ParallelExec, ScheduleIsDeterministic) {
   EXPECT_EQ(a.lane_of, b.lane_of);
 }
 
-TEST(ParallelExec, ThreadPoolRunsEveryItemExactlyOnce) {
+TEST(ParallelExec, ConflictFreeBatchChargesOneLaneShare) {
   std::vector<ExecIntent> intents;
   for (std::uint64_t i = 0; i < 32; ++i) intents.push_back(writes({i}));
-  core::ParallelExecutor exec(4, /*real_threads=*/true);
-  std::vector<std::atomic<int>> hits(32);
-  const auto stats = exec.run(intents, [&](std::size_t i) -> SimTime {
-    hits[i].fetch_add(1, std::memory_order_relaxed);
-    return microseconds(1);
-  });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+  const std::vector<SimTime> costs(32, microseconds(1));
+  const auto stats = core::batch_stats(intents, costs, 4);
   EXPECT_EQ(stats.commands, 32u);
   EXPECT_EQ(stats.conflict_edges, 0u);
   EXPECT_EQ(stats.waves, 1u);
   // 32 independent 1us items on 4 lanes: makespan is one lane's share.
+  EXPECT_EQ(stats.serial_cost, microseconds(32));
   EXPECT_EQ(stats.makespan, microseconds(8));
   EXPECT_DOUBLE_EQ(stats.lane_occupancy, 1.0);
 }
 
 // ---------------------------------------------------------------------------
-// Serial-equivalence replay: on every determinism seed, an N-lane schedule
-// (both backends) must produce bit-identical state and replies to serial
-// slot-order execution.
+// Serial-equivalence replay: on every determinism seed, executing a batch
+// wave by wave — in reverse slot order within each wave, an order no serial
+// replica uses — must produce bit-identical state and replies to serial
+// slot-order execution. This is the property that lets the lanes charge
+// the schedule makespan while commands run in slot order.
 
 constexpr std::uint64_t kReplayKeys = 32;
 
@@ -189,23 +187,30 @@ core::ObjectStore preloaded_store() {
   return store;
 }
 
-std::vector<std::vector<std::optional<std::uint64_t>>> run_batch(
-    const std::vector<core::CommandPtr>& cmds, core::ObjectStore& store,
-    std::uint32_t lanes, bool real_threads) {
-  workloads::KvApp app;
+/// Item indices wave by wave, each wave in reverse slot order.
+std::vector<std::size_t> wave_order(const std::vector<core::CommandPtr>& cmds) {
   std::vector<ExecIntent> intents;
   intents.reserve(cmds.size());
   for (const auto& cmd : cmds) intents.push_back(core::intent_for(*cmd));
-
-  std::vector<core::ExecResult> results(cmds.size());
-  core::ParallelExecutor exec(lanes, real_threads);
-  std::shared_mutex guard;
-  if (real_threads) store.set_concurrency_guard(&guard);
-  exec.run(intents, [&](std::size_t i) -> SimTime {
-    results[i] = app.execute(*cmds[i], store);
-    return results[i].cpu_cost;
+  const auto schedule =
+      core::build_schedule(core::build_conflict_graph(intents), 4);
+  std::vector<std::size_t> order(cmds.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (schedule.wave_of[a] != schedule.wave_of[b])
+      return schedule.wave_of[a] < schedule.wave_of[b];
+    return a > b;
   });
-  if (real_threads) store.set_concurrency_guard(nullptr);
+  return order;
+}
+
+/// Executes the items in `order` and returns the replies in slot order.
+std::vector<std::vector<std::optional<std::uint64_t>>> run_batch(
+    const std::vector<core::CommandPtr>& cmds, core::ObjectStore& store,
+    const std::vector<std::size_t>& order) {
+  workloads::KvApp app;
+  std::vector<core::ExecResult> results(cmds.size());
+  for (const std::size_t i : order) results[i] = app.execute(*cmds[i], store);
 
   std::vector<std::vector<std::optional<std::uint64_t>>> observed;
   for (const auto& r : results) {
@@ -228,20 +233,20 @@ std::vector<std::uint64_t> final_values(core::ObjectStore& store) {
 TEST(ParallelExec, LaneScheduleReplaysBitIdenticalToSerial) {
   for (const std::uint64_t seed : {42ull, 1ull, 2ull, 9ull}) {
     const auto cmds = random_batch(seed, 300);
+    std::vector<std::size_t> slot_order(cmds.size());
+    std::iota(slot_order.begin(), slot_order.end(), 0);
+    const auto order = wave_order(cmds);
+    // The replay is vacuous unless some wave actually runs out of order.
+    ASSERT_NE(order, slot_order);
+
     auto serial_store = preloaded_store();
-    auto sim_store = preloaded_store();
-    auto thread_store = preloaded_store();
+    auto wave_store = preloaded_store();
+    const auto serial = run_batch(cmds, serial_store, slot_order);
+    const auto waves = run_batch(cmds, wave_store, order);
 
-    const auto serial = run_batch(cmds, serial_store, 1, false);
-    const auto sim4 = run_batch(cmds, sim_store, 4, false);
-    const auto threads4 = run_batch(cmds, thread_store, 4, true);
-
-    EXPECT_EQ(serial, sim4) << "sim backend diverged, seed " << seed;
-    EXPECT_EQ(serial, threads4) << "thread backend diverged, seed " << seed;
-    EXPECT_EQ(final_values(serial_store), final_values(sim_store))
-        << "sim state diverged, seed " << seed;
-    EXPECT_EQ(final_values(serial_store), final_values(thread_store))
-        << "thread state diverged, seed " << seed;
+    EXPECT_EQ(serial, waves) << "replies diverged, seed " << seed;
+    EXPECT_EQ(final_values(serial_store), final_values(wave_store))
+        << "state diverged, seed " << seed;
   }
 }
 
@@ -268,12 +273,11 @@ Fingerprint fingerprint_of(core::System& system) {
 }
 
 std::unique_ptr<core::System> build_kv_system(std::uint64_t seed,
-                                              std::uint32_t lanes,
-                                              bool real_threads) {
+                                              std::uint32_t lanes) {
   return core::ScenarioBuilder()
       .partitions(3)
       .seed(seed)
-      .exec_lanes(lanes, real_threads)
+      .exec_lanes(lanes)
       .tune([](core::SystemConfig& c) {
         c.repartition_hint_threshold = UINT64_MAX;
       })
@@ -289,7 +293,7 @@ std::unique_ptr<core::System> build_kv_system(std::uint64_t seed,
 
 TEST(ParallelExec, FullStackDeterministicWithLanes) {
   auto run_once = [] {
-    auto system = build_kv_system(42, 4, /*real_threads=*/false);
+    auto system = build_kv_system(42, 4);
     system->run_until(seconds(3));
     // Batches must actually form — otherwise this test is vacuous.
     EXPECT_GT(system->metrics().counter(metric::kExecBatches), 0.0);
@@ -298,28 +302,82 @@ TEST(ParallelExec, FullStackDeterministicWithLanes) {
   EXPECT_TRUE(run_once() == run_once());
 }
 
-TEST(ParallelExec, ThreadBackendMatchesSimBackend) {
-  // The thread pool changes which OS thread runs a command, never the
-  // schedule or the modeled time, so the whole-run fingerprint must match
-  // the simulated-lane backend exactly.
-  auto run_with = [](bool real_threads) {
-    auto system = build_kv_system(7, 4, real_threads);
-    system->run_until(seconds(2));
-    return fingerprint_of(*system);
-  };
-  EXPECT_TRUE(run_with(false) == run_with(true));
+/// KvApp that also logs every command id it executes.
+class RecordingKvApp final : public core::AppStateMachine {
+ public:
+  explicit RecordingKvApp(std::vector<std::uint64_t>* executed)
+      : executed_(executed) {}
+
+  core::ExecResult execute(const core::Command& cmd,
+                           core::ObjectStore& store) override {
+    executed_->push_back(cmd.cmd_id);
+    return kv_.execute(cmd, store);
+  }
+  core::ObjectPtr make_object(const core::Command& cmd) override {
+    return kv_.make_object(cmd);
+  }
+
+ private:
+  workloads::KvApp kv_;
+  std::vector<std::uint64_t>* executed_;
+};
+
+TEST(ParallelExec, BatchRunsEveryItemOnceInSlotOrder) {
+  // Both replicas of one partition run every delivered command exactly
+  // once, and the executor runs each batch in the slot order the server
+  // traced its execute starts in.
+  std::deque<std::vector<std::uint64_t>> executed;  // one per replica
+  auto system = core::ScenarioBuilder()
+                    .partitions(1)
+                    .seed(5)
+                    .exec_lanes(4)
+                    .trace()
+                    .tune([](core::SystemConfig& c) {
+                      c.repartition_hint_threshold = UINT64_MAX;
+                    })
+                    .app([&executed] {
+                      return std::make_unique<RecordingKvApp>(
+                          &executed.emplace_back());
+                    })
+                    .preload_kv(kReplayKeys, workloads::KvObject(0))
+                    .clients(6,
+                             [](std::size_t) {
+                               return std::make_unique<
+                                   workloads::RandomKvDriver>(kReplayKeys, 0.5,
+                                                              0.4);
+                             })
+                    .build();
+  system->run_until(seconds(2));
+  ASSERT_GT(system->metrics().counter(metric::kExecBatches), 0.0);
+  ASSERT_EQ(executed.size(), 2u);
+  ASSERT_FALSE(executed[0].empty());
+  EXPECT_EQ(executed[0], executed[1]);
+  const std::set<std::uint64_t> distinct(executed[0].begin(),
+                                         executed[0].end());
+  EXPECT_EQ(distinct.size(), executed[0].size());
+
+  const auto& replicas =
+      system->topology().group(core::group_of(PartitionId{0})).replicas;
+  for (std::size_t r = 0; r < replicas.size(); ++r) {
+    std::vector<std::uint64_t> traced;
+    for (const TraceEvent& e : system->world().trace().events()) {
+      if (e.point == TracePoint::kExecuteStart &&
+          e.node == replicas[r].value())
+        traced.push_back(e.key);
+    }
+    EXPECT_EQ(traced, executed[r]) << "replica " << r;
+  }
 }
 
 TEST(ParallelExec, LinearizableWithLanes) {
-  for (const bool real_threads : {false, true}) {
+  for (const std::uint64_t seed : {11ull, 12ull}) {
     core::SystemConfig config;
     config.mode = core::ExecutionMode::kDynaStar;
     config.num_partitions = 3;
-    config.seed = real_threads ? 12 : 11;
+    config.seed = seed;
     config.repartitioning_enabled = true;
     config.repartition_hint_threshold = UINT64_MAX;
     config.exec_lanes = 4;
-    config.exec_real_threads = real_threads;
     core::System system(config, workloads::kv_app_factory());
     constexpr std::uint64_t kKeys = 10;
     core::Assignment assignment;
@@ -342,8 +400,7 @@ TEST(ParallelExec, LinearizableWithLanes) {
     const auto full = testutil::with_initial_puts(history, kKeys, 1000);
     const auto result = check_kv_linearizable(full);
     EXPECT_TRUE(result.linearizable)
-        << "non-linearizable history with lanes; real_threads="
-        << real_threads;
+        << "non-linearizable history with lanes; seed " << seed;
   }
 }
 
