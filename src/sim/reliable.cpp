@@ -1,5 +1,7 @@
 #include "sim/reliable.h"
 
+#include <set>
+
 namespace dynastar::sim {
 
 namespace {
@@ -83,10 +85,12 @@ bool ReliableLink::handle(ProcessId from, const MessagePtr& msg,
 void ReliableLink::redrive(ProcessId peer) {
   // The peer rolled back to its checkpoint; everything we retain for it may
   // have been lost. Re-send the lot (its restored dedup state suppresses
-  // true duplicates) and restart the retry budget.
+  // true duplicates) and restart the retry budget. Our own ResendReq to it
+  // is re-sent only if its budget ran out while the peer was down: until
+  // it is acked, note_checkpoint sends this peer no notices.
   const SimTime now = env_.now();
   for (auto& [token, e] : pending_) {
-    if (e.to != peer || e.control) continue;
+    if (e.to != peer || (e.control && e.tries < kMaxTries)) continue;
     e.acked = false;
     e.tries = 1;
     e.last_tx = now;
@@ -129,8 +133,15 @@ void ReliableLink::restore(const State& s, const std::vector<ProcessId>& peers) 
 
 void ReliableLink::note_checkpoint(SimTime capture_time,
                                    const std::vector<ProcessId>& peers) {
+  // A peer that has not acked our ResendReq yet may still retain entries
+  // the incarnation (or installed state) we replaced had acked. A notice
+  // reaching it first would prune them before they are re-driven, and
+  // their effects would be lost on both sides; skip it until the ack.
+  std::set<std::uint64_t> awaiting_resend;
+  for (const auto& [token, e] : pending_)
+    if (e.control) awaiting_resend.insert(e.to.value());
   for (ProcessId peer : peers) {
-    if (peer == env_.self()) continue;
+    if (peer == env_.self() || awaiting_resend.contains(peer.value())) continue;
     // Raw send: a lost notice only delays pruning until the next checkpoint.
     env_.send_message(peer, make_message<StableNotice>(capture_time));
   }

@@ -24,6 +24,10 @@
 //    own ack bookkeeping above the checkpoint is gone too.
 //  - A retry-budget exhaustion (peer presumed dead) stops retransmission
 //    but keeps the entry: the peer's eventual ResendReq revives it.
+//  - A receiver that replaced its state (restore or snapshot install)
+//    sends a peer no StableNotice until that peer acked its ResendReq.
+//    The replaced state had acked deliveries the new one lacks; a notice
+//    arriving ahead of the ResendReq would prune them before the re-drive.
 //
 // Receivers must be idempotent under duplicates: recovery re-drives entire
 // buffers. All wrapped DynaStar messages already dedupe at the protocol
