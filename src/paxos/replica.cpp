@@ -111,6 +111,10 @@ void ReplicaCore::restore(const ReplicaRestart& s) {
 void ReplicaCore::start_recovered() {
   last_leader_contact_ = env_.now();
   arm_election_timer();
+  request_catchup();
+}
+
+void ReplicaCore::request_catchup() {
   // Pull the missing suffix without waiting for the next heartbeat. If the
   // gap starts below the peer's log floor, its on_catchup answers with a
   // snapshot manifest instead of decisions.
@@ -579,9 +583,12 @@ void ReplicaCore::complete_transfer() {
   if (!done.state || !snapshot_installer_(done.state)) return;
   // The installer restored our position to done.next_slot; persist the
   // installed state as the durable checkpoint and stable snapshot, then
-  // deliver the decisions retained above it.
+  // deliver the decisions retained above it and ask for the rest at once:
+  // waiting for the next heartbeat gives the leader time to checkpoint past
+  // the installed slot, and the gap would need a second install.
   take_checkpoint();
   try_deliver();
+  request_catchup();
 }
 
 void ReplicaCore::abandon_transfer() { transfer_.reset(); }

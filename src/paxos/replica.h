@@ -192,6 +192,8 @@ class ReplicaCore {
   void pump_chunk_requests();
   void complete_transfer();
   void abandon_transfer();
+  /// Asks the presumptive leader for the decisions from next_deliver_slot_.
+  void request_catchup();
   void note_peer_bandwidth(ProcessId peer, double bytes_per_sec);
   [[nodiscard]] ProcessId best_transfer_peer() const;
 

@@ -402,7 +402,9 @@ TEST(FaultTolerance, RecoveringFollowerConvergesUnderLoad) {
   // while the transfer runs; the install must keep the ones above the
   // snapshot slot and replay them. Discarding them left the follower below
   // the leader's log floor after every install: a loop of installs that
-  // ended only when the load stopped.
+  // ended only when the load stopped. Asking for the rest only at the next
+  // heartbeat let the leader checkpoint past the installed slot first, so
+  // a second install followed.
   auto config = config_for(core::ExecutionMode::kDynaStar,
                            /*num_partitions=*/1);
   config.paxos.checkpoint_interval = 32;
@@ -441,7 +443,7 @@ TEST(FaultTolerance, RecoveringFollowerConvergesUnderLoad) {
   const double installs =
       system.metrics().counter(metric::kServerSnapshotInstalls);
   EXPECT_GE(installs, 1.0) << "the outage never outran the catch-up window";
-  EXPECT_LE(installs, 2.0) << "recovery looped through snapshot installs";
+  EXPECT_LE(installs, 1.0) << "recovery took more than one snapshot install";
   ASSERT_TRUE(converged.has_value())
       << "the follower was still lagging at the end of the run";
   EXPECT_LE(*converged, seconds(2) + milliseconds(200))
