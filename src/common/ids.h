@@ -84,17 +84,22 @@ using ClientId = StrongId<ClientTag>;
 /// Sentinel meaning "no partition known".
 inline constexpr PartitionId kNoPartition{UINT64_MAX};
 
+/// splitmix64 finalizer: cheap, well distributed even for dense ids or ids
+/// that share their low bits.
+inline std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 }  // namespace dynastar
 
 namespace std {
 template <typename Tag>
 struct hash<dynastar::StrongId<Tag>> {
   size_t operator()(dynastar::StrongId<Tag> id) const noexcept {
-    // splitmix64 finalizer: cheap, well distributed even for dense ids.
-    uint64_t x = id.value() + 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return static_cast<size_t>(x ^ (x >> 31));
+    return static_cast<size_t>(dynastar::mix64(id.value()));
   }
 };
 }  // namespace std

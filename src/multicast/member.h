@@ -16,6 +16,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "multicast/messages.h"
 #include "paxos/replica.h"
 #include "paxos/topology.h"
@@ -70,6 +71,12 @@ class MemberCore {
     SimTime since = 0;  // last submission attempt (age-gates resubmits)
   };
 
+  struct UidHash {
+    std::size_t operator()(Uid uid) const noexcept {
+      return static_cast<std::size_t>(mix64(uid));
+    }
+  };
+
   /// The multicast protocol state. The member holds it as one value, so a
   /// checkpoint is a plain copy of it; McastData payloads are immutable and
   /// shared by pointer.
@@ -81,8 +88,11 @@ class MemberCore {
     /// the pending entry on purpose: after this group delivers, a peer group
     /// whose copy of our proposal was lost still repair-polls with its own
     /// proposal, and we must be able to answer (see on_ts_proposal) or that
-    /// group wedges.
-    std::unordered_map<Uid, Timestamp> seen;
+    /// group wedges. Never trimmed and copied into every checkpoint, so it
+    /// is a flat map: the copy is two array copies, not one allocation per
+    /// entry. Uids of one client differ only in their low bits, hence the
+    /// mixing hash.
+    common::FlatMap<Uid, Timestamp, UidHash> seen;
     std::uint64_t delivered_count = 0;
     /// Timestamp proposals that arrived before the Start entry was processed.
     std::unordered_map<Uid, std::map<GroupId, Timestamp>> early_proposals;
