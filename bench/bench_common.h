@@ -9,11 +9,16 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/json.h"
 #include "common/metric_names.h"
 #include "common/metrics.h"
+#include "core/client.h"
 #include "core/system.h"
 
 namespace dynastar::bench {
@@ -89,5 +94,123 @@ inline Measured measure(core::System& system, std::size_t warmup_s,
         window_total(mpart, warmup_s, warmup_s + measure_s) / exec_total;
   return m;
 }
+
+/// Wraps a driver and records every kOk completion instant; `completed`
+/// alone would also count kTimeout / kOverloaded completions, which are not
+/// goodput.
+class GoodputDriver final : public core::ClientDriver {
+ public:
+  GoodputDriver(std::unique_ptr<core::ClientDriver> inner,
+                std::vector<SimTime>* oks)
+      : inner_(std::move(inner)), oks_(oks) {}
+
+  std::optional<core::CommandSpec> next(Rng& rng, SimTime now) override {
+    return inner_->next(rng, now);
+  }
+
+  void on_result(const core::CommandSpec& spec, core::ReplyStatus status,
+                 const sim::MessagePtr& payload, SimTime issued_at,
+                 SimTime completed_at) override {
+    if (status == core::ReplyStatus::kOk) oks_->push_back(completed_at);
+    inner_->on_result(spec, status, payload, issued_at, completed_at);
+  }
+
+ private:
+  std::unique_ptr<core::ClientDriver> inner_;
+  std::vector<SimTime>* oks_;
+};
+
+/// kOk completions over simulated seconds [from_s, to_s).
+struct GoodputWindow {
+  std::int64_t from_s = 0;
+  std::int64_t to_s = 0;
+  std::uint64_t ok_commands = 0;
+
+  GoodputWindow(const std::vector<SimTime>& oks, std::int64_t from,
+                std::int64_t to)
+      : from_s(from), to_s(to) {
+    for (SimTime t : oks)
+      if (t >= seconds(from_s) && t < seconds(to_s)) ++ok_commands;
+  }
+  [[nodiscard]] double goodput() const {
+    return static_cast<double>(ok_commands) /
+           static_cast<double>(to_s - from_s);
+  }
+};
+
+/// One `dynastar-bench-v1` document (docs/OBSERVABILITY.md): the metrics a
+/// gated bench measured and the gates `scripts/check_report.py --bench`
+/// enforces on them. Declare each gate on the line that records its metric:
+///
+///   doc.metric("surge_ratio", surge / base, "ratio", kHigher, kDeterministic)
+///       .min(0.5);
+class BenchDoc {
+ public:
+  enum Better { kHigher, kLower };
+  /// kDeterministic: bit-identical per seed on every machine, so a baseline
+  /// comparison is exact. kWall: host-timed, compared with the baseline only
+  /// through a declared budget().
+  enum Kind { kDeterministic, kWall };
+
+  /// Adds bounds to the metric it was returned for.
+  class Gates {
+   public:
+    Gates& min(double bound) { return add("min", bound); }
+    Gates& max(double bound) { return add("max", bound); }
+    /// Worse than the baseline value by at most this fraction.
+    Gates& budget(double fraction) { return add("budget", fraction); }
+
+   private:
+    friend class BenchDoc;
+    Gates(Json* gates, std::string metric)
+        : gates_(gates), metric_(std::move(metric)) {}
+    Gates& add(const char* bound, double value) {
+      Json gate;
+      gate["metric"] = metric_;
+      gate[bound] = value;
+      gates_->as_array().push_back(std::move(gate));
+      return *this;
+    }
+    Json* gates_;
+    std::string metric_;
+  };
+
+  BenchDoc(std::string bench, Json config) {
+    doc_["schema"] = "dynastar-bench-v1";
+    doc_["bench"] = std::move(bench);
+    doc_["config"] = std::move(config);
+    doc_["metrics"] = Json::Object{};
+    doc_["gates"] = Json::Array{};
+  }
+
+  Gates metric(const std::string& name, double value, const char* unit,
+               Better better, Kind kind) {
+    doc_["metrics"][name] = Json::Object{
+        {"value", value},
+        {"unit", unit},
+        {"better", better == kHigher ? "higher" : "lower"},
+        {"kind", kind == kDeterministic ? "deterministic" : "wall"},
+    };
+    return Gates(&doc_["gates"], name);
+  }
+
+  /// Writes the document to `path`; returns the process exit code.
+  [[nodiscard]] int write(const std::string& path) const {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    if (f == nullptr) {
+      std::fprintf(stderr, "cannot open %s\n", path.c_str());
+      return 1;
+    }
+    const std::string text = doc_.dump(2);
+    std::fwrite(text.data(), 1, text.size(), f);
+    std::fputc('\n', f);
+    std::fclose(f);
+    std::printf("wrote %s\n", path.c_str());
+    return 0;
+  }
+
+ private:
+  Json doc_;
+};
 
 }  // namespace dynastar::bench

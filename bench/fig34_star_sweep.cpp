@@ -8,7 +8,7 @@
 // repartitioning on purpose: the sweep isolates the *execution* trade the
 // two designs make on irreducibly multi-partition work.
 //
-// Expected shape (gated by scripts/check_report.py --bench):
+// Expected shape (the crossover gates are declared in main()):
 //   - low multi ratio: DynaStar wins — STAR funnels every command through
 //     the master partition's replicas (full replica, sequenced in every
 //     multicast), so its singles throughput is capped by one partition.
@@ -19,13 +19,14 @@
 // Usage: fig34_star_sweep [output.json]   (default BENCH_star.json)
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "baselines/registry.h"
-#include "common/json.h"
+#include "bench/bench_common.h"
 #include "common/metric_names.h"
 #include "core/scenario.h"
 #include "core/system.h"
@@ -104,53 +105,63 @@ Point run_point(const char* system_name, double multi_fraction) {
 
 int main(int argc, char** argv) {
   using namespace dynastar;
+  using bench::BenchDoc;
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_star.json";
 
-  Json sweep = Json::Array{};
+  Json::Array fractions;
+  for (double multi : kMultiFractions) fractions.emplace_back(multi);
+  BenchDoc doc("fig34_star_sweep",
+               Json::Object{
+                   {"partitions", static_cast<std::uint64_t>(kPartitions)},
+                   {"keys", kKeys},
+                   {"clients", static_cast<std::uint64_t>(kClients)},
+                   {"warmup_s", kWarmupS},
+                   {"duration_s", kDurationS},
+                   {"seed", kSeed},
+                   {"multi_fractions", std::move(fractions)},
+               });
   std::printf("fig34_star_sweep: %u partitions, %llu keys, %zu clients, "
               "[%llds, %llds) window\n",
               kPartitions, static_cast<unsigned long long>(kKeys), kClients,
               static_cast<long long>(kWarmupS),
               static_cast<long long>(kDurationS));
+  std::vector<Point> dynastar_points, star_points;
   for (double multi : kMultiFractions) {
-    const Point dynastar_point = run_point("dynastar", multi);
-    const Point star_point = run_point("star", multi);
+    const Point& dynastar_point =
+        dynastar_points.emplace_back(run_point("dynastar", multi));
+    const Point& star_point =
+        star_points.emplace_back(run_point("star", multi));
     std::printf("  multi=%.2f  dynastar %8.1f/s   star %8.1f/s   "
                 "(epochs %.0f, deferred %.0f)\n",
                 multi, dynastar_point.tps(), star_point.tps(),
                 star_point.star_epochs, star_point.star_deferred);
-    sweep.as_array().push_back(Json::Object{
-        {"multi_fraction", multi},
-        {"dynastar", Json::Object{{"ok_commands", dynastar_point.ok_commands},
-                                  {"tps", dynastar_point.tps()}}},
-        {"star", Json::Object{{"ok_commands", star_point.ok_commands},
-                              {"tps", star_point.tps()},
-                              {"epochs", star_point.star_epochs},
-                              {"deferred", star_point.star_deferred}}},
-    });
+    char label[32];
+    std::snprintf(label, sizeof label, "{multi=%g}", multi);
+    doc.metric(std::string("dynastar.tps") + label, dynastar_point.tps(),
+               "1/s", BenchDoc::kHigher, BenchDoc::kDeterministic);
+    doc.metric(std::string("star.tps") + label, star_point.tps(), "1/s",
+               BenchDoc::kHigher, BenchDoc::kDeterministic);
+    auto epochs =
+        doc.metric(std::string("star.epochs") + label, star_point.star_epochs,
+                   "count", BenchDoc::kHigher, BenchDoc::kDeterministic);
+    auto deferred = doc.metric(std::string("star.deferred") + label,
+                               star_point.star_deferred, "count",
+                               BenchDoc::kHigher, BenchDoc::kDeterministic);
+    // The deferred path must actually have run at the multi-heavy end.
+    if (star_points.size() == std::size(kMultiFractions)) {
+      epochs.min(1);
+      deferred.min(1);
+    }
   }
-
-  Json report = Json::Object{};
-  report["schema"] = "dynastar-bench-star-v1";
-  report["config"] = Json::Object{
-      {"partitions", static_cast<std::uint64_t>(kPartitions)},
-      {"keys", kKeys},
-      {"clients", static_cast<std::uint64_t>(kClients)},
-      {"warmup_s", kWarmupS},
-      {"duration_s", kDurationS},
-      {"seed", kSeed},
-  };
-  report["sweep"] = std::move(sweep);
-
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
-    return 1;
-  }
-  const std::string text = report.dump(2);
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+  // The crossover: each design must win its end of the sweep by a real
+  // margin, proving the asymmetric mode is a trade and not a strict win.
+  doc.metric("crossover.low_dynastar_over_star",
+             dynastar_points.front().tps() / star_points.front().tps(),
+             "ratio", BenchDoc::kHigher, BenchDoc::kDeterministic)
+      .min(1.05);
+  doc.metric("crossover.high_star_over_dynastar",
+             star_points.back().tps() / dynastar_points.back().tps(), "ratio",
+             BenchDoc::kHigher, BenchDoc::kDeterministic)
+      .min(1.05);
+  return doc.write(out_path);
 }

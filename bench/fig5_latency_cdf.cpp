@@ -9,8 +9,9 @@
 // the latency-CDF machinery for the read-lease gate: the same seeded KV
 // workload runs leases-off then leases-on and the multi-partition read-only
 // median must drop by >= 20% while the single-partition median stays within
-// 2% (scripts/check_report.py --lease enforces both on the emitted JSON).
+// 2% (gates declared in run_lease_bench, on the emitted BENCH_lease.json).
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -19,7 +20,6 @@
 #include <vector>
 
 #include "bench/chirper_common.h"
-#include "common/json.h"
 #include "common/metric_names.h"
 #include "workloads/kv_drivers.h"
 
@@ -213,32 +213,33 @@ double median_of(std::vector<double> values) {
                     : 0.5 * (values[n / 2 - 1] + values[n / 2]);
 }
 
-Json decile_cdf(std::vector<double> values) {
-  Json::Array cdf;
-  if (values.empty()) return cdf;
+using bench::BenchDoc;
+
+/// Records one latency population of one run: its size, median and
+/// deciles (`p100_ms` is the maximum).
+double record_population(BenchDoc& doc, const std::string& prefix,
+                         std::vector<double> values) {
+  const double median = median_of(values);
+  doc.metric(prefix + ".count", static_cast<double>(values.size()), "count",
+             BenchDoc::kHigher, BenchDoc::kDeterministic);
+  doc.metric(prefix + ".median_ms", median, "ms", BenchDoc::kLower,
+             BenchDoc::kDeterministic);
   std::sort(values.begin(), values.end());
-  for (int d = 1; d <= 10; ++d) {
+  for (std::size_t d = 1; d <= 10 && !values.empty(); ++d) {
     std::size_t idx = values.size() * d / 10;
     if (idx > 0) --idx;
-    Json::Array point;
-    point.reserve(2);
-    point.emplace_back(static_cast<double>(d) / 10.0);
-    point.emplace_back(values[idx]);
-    cdf.emplace_back(std::move(point));
+    doc.metric(prefix + ".p" + std::to_string(10 * d) + "_ms", values[idx],
+               "ms", BenchDoc::kLower, BenchDoc::kDeterministic);
   }
-  return cdf;
+  return median;
 }
 
 /// One run's samples split into the three gated populations:
 /// multi-partition read-only (the leased path), single-partition (must not
-/// move), multi-partition writes (still borrow/return).
-struct LeaseSummary {
-  double multi_ro_median = 0.0;
-  double single_median = 0.0;
-  Json json;
-};
-
-LeaseSummary summarize_lease(const LeaseRun& run) {
+/// move), multi-partition writes (still borrow/return). Returns their
+/// medians in that order.
+std::array<double, 3> record_lease_run(BenchDoc& doc, const std::string& side,
+                                       const LeaseRun& run) {
   std::vector<double> multi_ro;
   std::vector<double> single;
   std::vector<double> multi_write;
@@ -250,29 +251,26 @@ LeaseSummary summarize_lease(const LeaseRun& run) {
     else
       multi_write.push_back(s.ms);
   }
-  LeaseSummary out;
-  out.multi_ro_median = median_of(multi_ro);
-  out.single_median = median_of(single);
-  Json section = Json::Object{};
-  section["ok_commands"] = run.ok_commands;
-  section["lease_reads"] = run.lease_reads;
-  section["lease_fallbacks"] = run.lease_fallbacks;
-  section["multi_ro"] = Json::Object{
-      {"count", static_cast<std::uint64_t>(multi_ro.size())},
-      {"median_ms", out.multi_ro_median},
-      {"cdf", decile_cdf(multi_ro)},
-  };
-  section["single"] = Json::Object{
-      {"count", static_cast<std::uint64_t>(single.size())},
-      {"median_ms", out.single_median},
-      {"cdf", decile_cdf(single)},
-  };
-  section["multi_write"] = Json::Object{
-      {"count", static_cast<std::uint64_t>(multi_write.size())},
-      {"median_ms", median_of(multi_write)},
-  };
-  out.json = std::move(section);
-  return out;
+  doc.metric(side + ".ok_commands", run.ok_commands, "count",
+             BenchDoc::kHigher, BenchDoc::kDeterministic);
+  doc.metric(side + ".lease_fallbacks", run.lease_fallbacks, "count",
+             BenchDoc::kLower, BenchDoc::kDeterministic);
+  // The leased path must run only when leases are on.
+  auto reads = doc.metric(side + ".lease_reads", run.lease_reads, "count",
+                          BenchDoc::kHigher, BenchDoc::kDeterministic);
+  if (side == "on") {
+    reads.min(1);
+    // ...and mostly validate.
+    doc.metric("on.lease_fallback_share",
+               run.lease_fallbacks / run.lease_reads, "ratio",
+               BenchDoc::kLower, BenchDoc::kDeterministic)
+        .max(0.1);
+  } else {
+    reads.max(0);
+  }
+  return {record_population(doc, side + ".multi_ro", multi_ro),
+          record_population(doc, side + ".single", single),
+          record_population(doc, side + ".multi_write", multi_write)};
 }
 
 int run_lease_bench(const char* out_arg) {
@@ -282,19 +280,41 @@ int run_lease_bench(const char* out_arg) {
               "private singles on p2/p3 ===\n",
               kLeasePartitions, kLeaseClients, kLeaseMultiFraction * 100);
 
+  BenchDoc doc("fig5_latency_cdf --bench-lease",
+               Json::Object{
+                   {"partitions", static_cast<std::uint64_t>(kLeasePartitions)},
+                   {"keys", kLeaseKeys},
+                   {"clients", static_cast<std::uint64_t>(kLeaseClients)},
+                   {"seed", kLeaseSeed},
+                   {"shared_keys", 2 * kSharedSlots},
+                   {"multi_fraction", kLeaseMultiFraction},
+                   {"shared_write_fraction", kSharedWriteFraction},
+                   {"private_write_fraction", kPrivateWriteFraction},
+                   {"warmup_s", kLeaseWarmupS},
+                   {"horizon_s", kLeaseHorizonS},
+               });
   const LeaseRun off = run_lease(false);
   const LeaseRun on = run_lease(true);
-  LeaseSummary off_summary = summarize_lease(off);
-  LeaseSummary on_summary = summarize_lease(on);
+  const auto [off_median, off_single, off_write] =
+      record_lease_run(doc, "off", off);
+  const auto [on_median, on_single, on_write] = record_lease_run(doc, "on", on);
 
-  const double off_median = off_summary.multi_ro_median;
-  const double on_median = on_summary.multi_ro_median;
-  const double off_single = off_summary.single_median;
-  const double on_single = on_summary.single_median;
-  const double reduction =
-      off_median > 0 ? 1.0 - on_median / off_median : 0.0;
-  const double single_shift =
-      off_single > 0 ? (on_single - off_single) / off_single : 0.0;
+  const double reduction = 1.0 - on_median / off_median;
+  const double single_shift = (on_single - off_single) / off_single;
+  // Leases must pay for themselves on the population they serve...
+  doc.metric("multi_ro_median_reduction", reduction, "ratio",
+             BenchDoc::kHigher, BenchDoc::kDeterministic)
+      .min(0.2);
+  // ...without perturbing traffic that never touches them...
+  doc.metric("single_median_shift", single_shift, "ratio", BenchDoc::kLower,
+             BenchDoc::kDeterministic)
+      .min(-0.02)
+      .max(0.02);
+  // ...and without slowing the write path, which still borrows/returns (it
+  // may well get faster: writes no longer queue behind blocked reads).
+  doc.metric("multi_write_median_ratio", on_write / off_write, "ratio",
+             BenchDoc::kLower, BenchDoc::kDeterministic)
+      .max(1.02);
 
   std::printf("  multi-partition read-only median: %.3f ms -> %.3f ms "
               "(%.1f%% reduction)\n",
@@ -305,37 +325,7 @@ int run_lease_bench(const char* out_arg) {
   std::printf("  leases-on: %.0f leased reads, %.0f fallbacks, %.0f ok "
               "commands measured\n",
               on.lease_reads, on.lease_fallbacks, on.ok_commands);
-
-  Json report = Json::Object{};
-  report["schema"] = "dynastar-bench-lease-v1";
-  report["config"] = Json::Object{
-      {"partitions", static_cast<std::uint64_t>(kLeasePartitions)},
-      {"keys", kLeaseKeys},
-      {"clients", static_cast<std::uint64_t>(kLeaseClients)},
-      {"seed", kLeaseSeed},
-      {"shared_keys", 2 * kSharedSlots},
-      {"multi_fraction", kLeaseMultiFraction},
-      {"shared_write_fraction", kSharedWriteFraction},
-      {"private_write_fraction", kPrivateWriteFraction},
-      {"warmup_s", kLeaseWarmupS},
-      {"horizon_s", kLeaseHorizonS},
-  };
-  report["off"] = std::move(off_summary.json);
-  report["on"] = std::move(on_summary.json);
-  report["multi_ro_median_reduction"] = reduction;
-  report["single_median_shift"] = single_shift;
-
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
-    return 1;
-  }
-  const std::string text = report.dump(2);
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+  return doc.write(out_path);
 }
 
 }  // namespace

@@ -1,15 +1,18 @@
 // Kernel throughput benchmark: raw events/sec through the simulation kernel
 // and messages/sec through the message plane, plus a full-stack run, emitted
-// as BENCH_kernel.json for the CI perf gate (scripts/check_report.py --bench).
+// as a dynastar-bench-v1 document (BENCH_kernel.json) whose gates are
+// declared below, next to each measurement.
 //
-// Three sections:
+// Sections:
 //  1. Event storm through the current kernel (SBO EventFn + two-tier calendar
 //     queue) and through LegacyKernel — a faithful copy of the pre-PR kernel
 //     (std::function actions, one binary heap) — with the identical seeded
 //     workload, so the speedup is apples-to-apples in one binary.
 //  2. Message-plane storm: make_message allocation/release through the
 //     per-World pool, reporting pool hit rates.
-//  3. Full-stack sanity point: a traced KV scenario, commands/sec wall-clock.
+//  3. Full-stack point: a KV scenario with checkpoints on and off, timed on
+//     the thread's CPU clock.
+//  4. Parallel executor: simulated lanes, deterministic commands/sec.
 //
 // The storm keeps a large steady pending population (default 256k — the
 // regime of paper-scale fig3/fig4 runs, override with DYNASTAR_STORM_PENDING)
@@ -25,13 +28,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
 #include <functional>
 #include <random>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/json.h"
+#include "bench/bench_common.h"
 #include "common/metric_names.h"
 #include "core/scenario.h"
 #include "sim/message.h"
@@ -213,16 +217,28 @@ MessageStormResult run_message_storm(std::uint64_t total_messages) {
   return result;
 }
 
+/// CPU time this thread has run. Unlike wall time it does not grow while
+/// other processes hold the core, so a checkpoints-on/off pair compares the
+/// work each side did, not the host load while it ran.
+double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
 struct FullStackResult {
   double commands = 0;
-  double wall_seconds = 0;
+  double cpu_seconds = 0;
+
+  [[nodiscard]] double per_cpu_second() const { return commands / cpu_seconds; }
 };
 
-/// Full-stack sanity point: single-partition KV, 1 simulated second.
+/// Full-stack point: single-partition KV, 1 simulated second.
 /// `checkpoint_interval` 0 disables checkpointing so the default-on cost can
-/// be gated (checkpoint_cost in check_report.py --bench).
+/// be gated (checkpoint_cost.median_ratio).
 FullStackResult run_full_stack(paxos::Slot checkpoint_interval) {
-  const auto start = std::chrono::steady_clock::now();
+  const double start = thread_cpu_seconds();
   auto system = core::ScenarioBuilder()
                     .partitions(1)
                     .checkpoint_interval(checkpoint_interval)
@@ -239,13 +255,13 @@ FullStackResult run_full_stack(paxos::Slot checkpoint_interval) {
                     .build();
   system->run_until(seconds(1));
   FullStackResult result;
-  result.wall_seconds = wall_seconds_since(start);
+  result.cpu_seconds = thread_cpu_seconds() - start;
   result.commands = system->metrics().series(metric::kCompleted).total();
   return result;
 }
 
 // ---------------------------------------------------------------------------
-// Parallel executor sections (schema v2).
+// Parallel executor section.
 
 /// Closed-loop driver hammering exactly one key — the two extremes for the
 /// parallel-executor gate: every client on its own key (conflict-free
@@ -337,39 +353,38 @@ int main(int argc, char** argv) {
   // Periodic checkpoints on vs checkpointing disabled, run as adjacent
   // pairs that alternate which side goes first, so host drift hits both
   // sides alike, after one discarded warm-up run that pays the first-use
-  // costs. The median per-pair throughput ratio is the cost of the
-  // checkpoint subsystem, gated >= 0.95 by check_report.py --bench. An
+  // costs. Each run is timed on the thread's CPU clock, and the median
+  // per-pair throughput ratio is the cost of the checkpoint subsystem. An
   // aggressive interval (512 slots) makes the 1-simulated-second run
   // actually cross boundaries.
   constexpr int kCheckpointPairs = 21;
-  run_full_stack(/*checkpoint_interval=*/512);
+  constexpr paxos::Slot kCheckpointInterval = 512;
+  run_full_stack(kCheckpointInterval);
   FullStackResult stack, stack_nockpt;
   std::vector<double> ratios;
   for (int pair = 0; pair < kCheckpointPairs; ++pair) {
     FullStackResult with, without;
     if (pair % 2 == 0) {
-      with = run_full_stack(/*checkpoint_interval=*/512);
+      with = run_full_stack(kCheckpointInterval);
       without = run_full_stack(/*checkpoint_interval=*/0);
     } else {
       without = run_full_stack(/*checkpoint_interval=*/0);
-      with = run_full_stack(/*checkpoint_interval=*/512);
+      with = run_full_stack(kCheckpointInterval);
     }
-    ratios.push_back((with.commands / with.wall_seconds) /
-                     (without.commands / without.wall_seconds));
-    if (pair == 0 || with.wall_seconds < stack.wall_seconds) stack = with;
-    if (pair == 0 || without.wall_seconds < stack_nockpt.wall_seconds)
+    ratios.push_back(with.per_cpu_second() / without.per_cpu_second());
+    if (pair == 0 || with.cpu_seconds < stack.cpu_seconds) stack = with;
+    if (pair == 0 || without.cpu_seconds < stack_nockpt.cpu_seconds)
       stack_nockpt = without;
   }
   std::sort(ratios.begin(), ratios.end());
   const double checkpoint_ratio = ratios[kCheckpointPairs / 2];
-  std::printf("  full stack      : %.0f commands in %.2fs wall "
+  std::printf("  full stack      : %.0f commands in %.3fs CPU "
               "(%.0f commands/sec)\n",
-              stack.commands, stack.wall_seconds,
-              stack.commands / stack.wall_seconds);
-  std::printf("  no checkpoints  : %.0f commands in %.2fs wall "
+              stack.commands, stack.cpu_seconds, stack.per_cpu_second());
+  std::printf("  no checkpoints  : %.0f commands in %.3fs CPU "
               "(%.0f commands/sec)\n",
-              stack_nockpt.commands, stack_nockpt.wall_seconds,
-              stack_nockpt.commands / stack_nockpt.wall_seconds);
+              stack_nockpt.commands, stack_nockpt.cpu_seconds,
+              stack_nockpt.per_cpu_second());
   std::printf("  checkpoint cost : median ratio %.3f over %d pairs\n",
               checkpoint_ratio, kCheckpointPairs);
 
@@ -390,62 +405,67 @@ int main(int argc, char** argv) {
               sim_heavy_serial, kExecLanes, sim_heavy_lanes,
               sim_heavy_lanes / sim_heavy_serial);
 
-  Json report = Json::Object{};
-  report["schema"] = "dynastar-bench-kernel-v2";
-  report["kernel"] = Json::Object{
-      {"events", static_cast<std::uint64_t>(kStormEvents)},
-      {"pending", storm_pending()},
-      {"events_per_sec", current_eps},
-  };
-  report["legacy_kernel"] = Json::Object{
-      {"events", static_cast<std::uint64_t>(kStormEvents)},
-      {"pending", storm_pending()},
-      {"events_per_sec", legacy_eps},
-  };
-  report["speedup_vs_legacy"] = speedup;
-  report["message_plane"] = Json::Object{
-      {"messages", static_cast<std::uint64_t>(kStormMessages)},
-      {"messages_per_sec", msg.messages_per_sec},
-      {"pool_allocs", msg.pool_allocs},
-      {"pool_reuses", msg.pool_reuses},
-  };
-  report["full_stack"] = Json::Object{
-      {"commands", stack.commands},
-      {"wall_seconds", stack.wall_seconds},
-      {"commands_per_sec", stack.commands / stack.wall_seconds},
-  };
-  report["full_stack_nockpt"] = Json::Object{
-      {"commands", stack_nockpt.commands},
-      {"wall_seconds", stack_nockpt.wall_seconds},
-      {"commands_per_sec", stack_nockpt.commands / stack_nockpt.wall_seconds},
-  };
-  report["checkpoint_cost"] = Json::Object{
-      {"pairs", static_cast<std::uint64_t>(kCheckpointPairs)},
-      {"median_ratio", checkpoint_ratio},
-  };
-  Json parallel = Json::Object{};
-  parallel["lanes"] = static_cast<std::uint64_t>(kExecLanes);
-  parallel["sim_conflict_free"] = Json::Object{
-      {"serial_cps", sim_free_serial},
-      {"lanes_cps", sim_free_lanes},
-      {"speedup", sim_free_lanes / sim_free_serial},
-  };
-  parallel["sim_conflict_heavy"] = Json::Object{
-      {"serial_cps", sim_heavy_serial},
-      {"lanes_cps", sim_heavy_lanes},
-      {"speedup", sim_heavy_lanes / sim_heavy_serial},
-  };
-  report["parallel_exec"] = std::move(parallel);
-
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
-    return 1;
-  }
-  const std::string text = report.dump(2);
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+  using bench::BenchDoc;
+  BenchDoc doc("kernel_throughput",
+               Json::Object{
+                   {"storm_events", kStormEvents},
+                   {"storm_pending", storm_pending()},
+                   {"storm_rounds", kRounds},
+                   {"messages", kStormMessages},
+                   {"checkpoint_pairs", kCheckpointPairs},
+                   {"checkpoint_interval", kCheckpointInterval},
+                   {"exec_lanes", static_cast<std::uint64_t>(kExecLanes)},
+                   {"exec_clients", static_cast<std::uint64_t>(kExecClients)},
+               });
+  // Host speed differs between machines and runs; 25% absorbs runner
+  // variance while still catching a real kernel regression.
+  doc.metric("kernel.events_per_sec", current_eps, "1/s", BenchDoc::kHigher,
+             BenchDoc::kWall)
+      .budget(0.25);
+  doc.metric("legacy_kernel.events_per_sec", legacy_eps, "1/s",
+             BenchDoc::kHigher, BenchDoc::kWall);
+  doc.metric("kernel.speedup_vs_legacy", speedup, "ratio", BenchDoc::kHigher,
+             BenchDoc::kWall);
+  doc.metric("message_plane.messages_per_sec", msg.messages_per_sec, "1/s",
+             BenchDoc::kHigher, BenchDoc::kWall);
+  doc.metric("message_plane.pool_allocs",
+             static_cast<double>(msg.pool_allocs), "count", BenchDoc::kLower,
+             BenchDoc::kDeterministic);
+  // A steady-state storm should recycle nearly every message.
+  doc.metric("message_plane.pool_reuse_share",
+             static_cast<double>(msg.pool_reuses) /
+                 static_cast<double>(msg.pool_allocs),
+             "ratio", BenchDoc::kHigher, BenchDoc::kDeterministic)
+      .min(0.5);
+  doc.metric("full_stack.commands", stack.commands, "count",
+             BenchDoc::kHigher, BenchDoc::kDeterministic);
+  doc.metric("full_stack_nockpt.commands", stack_nockpt.commands, "count",
+             BenchDoc::kHigher, BenchDoc::kDeterministic);
+  doc.metric("full_stack.commands_per_cpu_sec", stack.per_cpu_second(),
+             "1/s", BenchDoc::kHigher, BenchDoc::kWall);
+  doc.metric("full_stack_nockpt.commands_per_cpu_sec",
+             stack_nockpt.per_cpu_second(), "1/s", BenchDoc::kHigher,
+             BenchDoc::kWall);
+  // Checkpointing may cost at most 5% of full-stack throughput.
+  doc.metric("checkpoint_cost.median_ratio", checkpoint_ratio, "ratio",
+             BenchDoc::kHigher, BenchDoc::kWall)
+      .min(0.95);
+  doc.metric("parallel_exec.conflict_free.serial_cps", sim_free_serial,
+             "1/s", BenchDoc::kHigher, BenchDoc::kDeterministic);
+  doc.metric("parallel_exec.conflict_free.lanes_cps", sim_free_lanes, "1/s",
+             BenchDoc::kHigher, BenchDoc::kDeterministic);
+  // The executor must extract the declared parallelism from conflict-free
+  // batches.
+  doc.metric("parallel_exec.conflict_free.speedup",
+             sim_free_lanes / sim_free_serial, "ratio", BenchDoc::kHigher,
+             BenchDoc::kDeterministic)
+      .min(1.5);
+  doc.metric("parallel_exec.conflict_heavy.serial_cps", sim_heavy_serial,
+             "1/s", BenchDoc::kHigher, BenchDoc::kDeterministic);
+  doc.metric("parallel_exec.conflict_heavy.lanes_cps", sim_heavy_lanes,
+             "1/s", BenchDoc::kHigher, BenchDoc::kDeterministic);
+  doc.metric("parallel_exec.conflict_heavy.speedup",
+             sim_heavy_lanes / sim_heavy_serial, "ratio", BenchDoc::kHigher,
+             BenchDoc::kDeterministic);
+  return doc.write(out_path);
 }

@@ -10,7 +10,7 @@
 //                        chunked snapshot install runs entirely inside
 //                        the collapse window
 //
-// The bandwidth-adaptation gate (scripts/check_report.py --bench):
+// The bandwidth-adaptation gate, declared where the ratio is recorded:
 //   degraded_ratio = degraded goodput / steady goodput >= 0.7
 // i.e. the chunked transfer trickling over the starved links must not
 // starve command execution — windowed chunk pulls with per-chunk
@@ -25,10 +25,9 @@
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "common/json.h"
+#include "bench/bench_common.h"
 #include "common/metric_names.h"
 #include "core/scenario.h"
 #include "core/system.h"
@@ -41,78 +40,24 @@ namespace {
 
 constexpr std::uint64_t kKeys = 12;
 constexpr std::size_t kClients = 8;
+constexpr std::uint64_t kSeed = 42;
+constexpr std::uint64_t kChunkBytes = 512;
+constexpr double kBandwidthDrop = 0.1;
 
 constexpr std::int64_t kSteadyFrom = 1, kSteadyTo = 6;
 constexpr std::int64_t kDegradedFrom = 6, kDegradedTo = 11;
-
-/// Records every successful completion instant; `completed` alone would
-/// also count kTimeout / kOverloaded completions, which are not goodput.
-class GoodputDriver final : public core::ClientDriver {
- public:
-  GoodputDriver(std::unique_ptr<core::ClientDriver> inner,
-                std::vector<SimTime>* oks)
-      : inner_(std::move(inner)), oks_(oks) {}
-
-  std::optional<core::CommandSpec> next(Rng& rng, SimTime now) override {
-    return inner_->next(rng, now);
-  }
-
-  void on_result(const core::CommandSpec& spec, core::ReplyStatus status,
-                 const sim::MessagePtr& payload, SimTime issued_at,
-                 SimTime completed_at) override {
-    if (status == core::ReplyStatus::kOk) oks_->push_back(completed_at);
-    inner_->on_result(spec, status, payload, issued_at, completed_at);
-  }
-
- private:
-  std::unique_ptr<core::ClientDriver> inner_;
-  std::vector<SimTime>* oks_;
-};
-
-struct Window {
-  std::int64_t from_s = 0;
-  std::int64_t to_s = 0;
-  std::uint64_t ok_commands = 0;
-
-  [[nodiscard]] double seconds() const {
-    return static_cast<double>(to_s - from_s);
-  }
-  [[nodiscard]] double goodput() const {
-    return static_cast<double>(ok_commands) / seconds();
-  }
-};
-
-Window count_window(const std::vector<SimTime>& oks, std::int64_t from_s,
-                    std::int64_t to_s) {
-  Window w;
-  w.from_s = from_s;
-  w.to_s = to_s;
-  const SimTime from = seconds(from_s), to = seconds(to_s);
-  for (SimTime t : oks)
-    if (t >= from && t < to) ++w.ok_commands;
-  return w;
-}
-
-Json window_json(const Window& w) {
-  return Json::Object{
-      {"from_s", w.from_s},
-      {"to_s", w.to_s},
-      {"seconds", w.seconds()},
-      {"ok_commands", w.ok_commands},
-      {"goodput_per_sec", w.goodput()},
-  };
-}
 
 }  // namespace
 }  // namespace dynastar
 
 int main(int argc, char** argv) {
   using namespace dynastar;
+  using bench::BenchDoc;
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_transfer.json";
 
   std::vector<SimTime> oks;
   const auto driver_factory = [&oks](std::size_t) {
-    return std::make_unique<GoodputDriver>(
+    return std::make_unique<bench::GoodputDriver>(
         std::make_unique<workloads::RandomKvDriver>(kKeys, 0.5, 0.2), &oks);
   };
 
@@ -120,7 +65,7 @@ int main(int argc, char** argv) {
       core::ScenarioBuilder()
           .execution_mode(core::ExecutionMode::kDynaStar)
           .partitions(3)
-          .seed(42)
+          .seed(kSeed)
           .net_preset("wan:3dc")
           .tune([](core::SystemConfig& c) {
             // The 2-second outage below outruns peers' retained logs (the
@@ -129,7 +74,7 @@ int main(int argc, char** argv) {
             // chunks force a real multi-chunk pull.
             c.paxos.checkpoint_interval = 16;
             c.paxos.catchup_window = 16;
-            c.paxos.transfer_chunk_bytes = 512;
+            c.paxos.transfer_chunk_bytes = kChunkBytes;
           })
           .app(workloads::kv_app_factory())
           .preload_kv(kKeys, workloads::KvObject(0))
@@ -139,7 +84,7 @@ int main(int argc, char** argv) {
   auto& world = system->world();
   // 10x inter-site bandwidth collapse over the whole degraded window.
   world.sim().schedule_at(seconds(kDegradedFrom), [&world] {
-    world.network().set_bandwidth_scale(0.1);
+    world.network().set_bandwidth_scale(kBandwidthDrop);
   });
   world.sim().schedule_at(seconds(kDegradedTo), [&world] {
     world.network().set_bandwidth_scale(1.0);
@@ -158,8 +103,8 @@ int main(int argc, char** argv) {
               "collapse + crash/recover inside the window...\n", kClients);
   system->run_until(seconds(kDegradedTo) + seconds(1));
 
-  const Window steady = count_window(oks, kSteadyFrom, kSteadyTo);
-  const Window degraded = count_window(oks, kDegradedFrom, kDegradedTo);
+  const bench::GoodputWindow steady(oks, kSteadyFrom, kSteadyTo);
+  const bench::GoodputWindow degraded(oks, kDegradedFrom, kDegradedTo);
   const double degraded_ratio = degraded.goodput() / steady.goodput();
 
   const double chunks_sent =
@@ -169,43 +114,46 @@ int main(int argc, char** argv) {
   const double snapshot_installs =
       system->metrics().counter(metric::kServerSnapshotInstalls);
 
-  std::printf("  steady   : %6llu ok in %.0fs = %8.1f/s\n",
+  std::printf("  steady   : %6llu ok = %8.1f/s\n",
               static_cast<unsigned long long>(steady.ok_commands),
-              steady.seconds(), steady.goodput());
-  std::printf("  degraded : %6llu ok in %.0fs = %8.1f/s  (ratio %.2f)\n",
+              steady.goodput());
+  std::printf("  degraded : %6llu ok = %8.1f/s  (ratio %.2f)\n",
               static_cast<unsigned long long>(degraded.ok_commands),
-              degraded.seconds(), degraded.goodput(), degraded_ratio);
+              degraded.goodput(), degraded_ratio);
   std::printf("  transfer : %.0f chunks (%.0f retransmitted), "
               "%.0f snapshot installs\n",
               chunks_sent, chunks_retx, snapshot_installs);
 
-  Json report = Json::Object{};
-  report["schema"] = "dynastar-bench-transfer-v1";
-  report["config"] = Json::Object{
-      {"net", std::string("wan:3dc")},
-      {"clients", static_cast<std::uint64_t>(kClients)},
-      {"transfer_chunk_bytes", static_cast<std::uint64_t>(512)},
-      {"bandwidth_drop_factor", 0.1},
-      {"seed", static_cast<std::uint64_t>(42)},
-  };
-  report["steady"] = window_json(steady);
-  report["degraded"] = window_json(degraded);
-  report["degraded_ratio"] = degraded_ratio;
-  report["transfer"] = Json::Object{
-      {"chunks_sent", chunks_sent},
-      {"chunks_retransmitted", chunks_retx},
-      {"snapshot_installs", snapshot_installs},
-  };
-
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
-    return 1;
-  }
-  const std::string text = report.dump(2);
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+  BenchDoc doc("state_transfer_wan",
+               Json::Object{
+                   {"net", "wan:3dc"},
+                   {"clients", static_cast<std::uint64_t>(kClients)},
+                   {"keys", kKeys},
+                   {"transfer_chunk_bytes", kChunkBytes},
+                   {"bandwidth_drop_factor", kBandwidthDrop},
+                   {"seed", kSeed},
+                   {"windows_s", Json::Array{
+                       Json::Array{kSteadyFrom, kSteadyTo},
+                       Json::Array{kDegradedFrom, kDegradedTo}}},
+               });
+  doc.metric("steady.goodput_per_sec", steady.goodput(), "1/s",
+             BenchDoc::kHigher, BenchDoc::kDeterministic);
+  doc.metric("degraded.goodput_per_sec", degraded.goodput(), "1/s",
+             BenchDoc::kHigher, BenchDoc::kDeterministic);
+  // The chunked transfer over starved links must not starve execution.
+  doc.metric("degraded_ratio", degraded_ratio, "ratio", BenchDoc::kHigher,
+             BenchDoc::kDeterministic)
+      .min(0.7);
+  // The chunk protocol must actually have carried the install.
+  doc.metric("transfer.chunks_sent", chunks_sent, "count", BenchDoc::kLower,
+             BenchDoc::kDeterministic)
+      .min(1);
+  doc.metric("transfer.chunks_retransmitted", chunks_retx, "count",
+             BenchDoc::kLower, BenchDoc::kDeterministic);
+  // Recovery must finish with exactly one install for the one crash.
+  doc.metric("transfer.snapshot_installs", snapshot_installs, "count",
+             BenchDoc::kLower, BenchDoc::kDeterministic)
+      .min(1)
+      .max(1);
+  return doc.write(out_path);
 }
